@@ -25,11 +25,6 @@ The scenarios are chosen to stress complementary paths:
                          metrics).  They carry a ``peak_rss_mb`` gauge
                          asserted against ``mem_budget_mb`` (2 GB) by
                          the bench driver.
-* ``fig4_composition_horizon`` / ``fig4_twotier_1k_horizon`` /
-  ``fig4_twotier_5k_horizon`` — the same workloads through the
-  conservative lookahead-window scheduler
-  (:mod:`repro.sim.horizon`); the bench driver asserts the horizon
-  digests are bit-identical to their serial twins.
 * ``fig4_sweep_no_cache`` / ``fig4_sweep_cold_cache`` /
   ``fig4_sweep_warm_cache`` — the same small Fig. 4 ρ-sweep run without a
                          cache, against an empty cache (measures the
@@ -64,25 +59,6 @@ __all__ = ["SCENARIO_FNS"]
 def _timed_run(sim: Simulator, until: float) -> float:
     t0 = time.perf_counter()
     sim.run(until=until)
-    return time.perf_counter() - t0
-
-
-def _timed_horizon_run(sim: Simulator, net, latency, topology,
-                       until: float) -> float:
-    """Time a run through the conservative horizon scheduler.
-
-    Benchmarks assert rather than fall back: a scenario named
-    ``*_horizon`` that silently ran serial would report a meaningless
-    speedup."""
-    from repro.sim import HorizonScheduler, derive_plan
-
-    reason = HorizonScheduler.refusal(sim, net)
-    assert reason is None, f"horizon refused in a horizon scenario: {reason}"
-    plan = derive_plan(latency, topology)
-    assert plan is not None, "no lookahead plan in a horizon scenario"
-    scheduler = HorizonScheduler(sim, net, plan)
-    t0 = time.perf_counter()
-    scheduler.run(until=until)
     return time.perf_counter() - t0
 
 
@@ -125,17 +101,13 @@ def _build_experiment(config: ExperimentConfig):
         from repro.compile import compile_system
 
         compile_system(net, system, apps)
-    return sim, net, apps, collector, topology, latency
+    return sim, net, apps, collector
 
 
 def _instrumented_experiment(config: ExperimentConfig) -> Dict[str, float]:
     """One ``run_experiment``-shaped run that exposes kernel counters."""
-    sim, net, apps, collector, topology, latency = _build_experiment(config)
-    until = config.default_deadline()
-    if config.horizon:
-        wall = _timed_horizon_run(sim, net, latency, topology, until)
-    else:
-        wall = _timed_run(sim, until)
+    sim, net, apps, collector = _build_experiment(config)
+    wall = _timed_run(sim, config.default_deadline())
     assert all(a.done for a in apps), "benchmark run did not complete"
     return {
         "wall_s": wall,
@@ -153,17 +125,12 @@ def _digest_of(config: ExperimentConfig) -> str:
     ``send`` kind, which would tax the timed loop of the measured run
     (and, on the compiled backend, tax it differently than the
     interpreted one — the very comparison the digest is meant to
-    anchor).  Honors ``config.horizon`` so the ``*_horizon`` scenarios
-    hash the window-batched drain itself, not a serial stand-in."""
+    anchor)."""
     from repro.verify import RunDigest
 
-    sim, net, apps, _collector, topology, latency = _build_experiment(config)
+    sim, _net, apps, _collector = _build_experiment(config)
     digest = RunDigest(sim)
-    until = config.default_deadline()
-    if config.horizon:
-        _timed_horizon_run(sim, net, latency, topology, until)
-    else:
-        sim.run(until=until)
+    sim.run(until=config.default_deadline())
     assert all(a.done for a in apps), "digest run did not complete"
     return digest.hexdigest
 
@@ -246,18 +213,6 @@ def fig4_composition_compiled(quick: bool) -> Dict[str, float]:
     ROADMAP 10x) is read off this scenario's normalized events/s against
     the committed baseline's ``fig4_composition``."""
     return _fig4_backend(quick, "compiled")
-
-
-def fig4_composition_horizon(quick: bool) -> Dict[str, float]:
-    """Horizon leg: compiled dispatch + conservative lookahead windows.
-
-    The bench driver asserts this scenario's digest equals the
-    interpreted serial twin's (``fig4_composition_interpreted``): the
-    window-batched drain must preserve the exact serial event order."""
-    config = _fig4_config(quick, "compiled").with_(horizon=True)
-    result = _instrumented_experiment(config)
-    result["digest"] = _digest_of(config)
-    return result
 
 
 def flat_suzuki(quick: bool) -> Dict[str, float]:
@@ -380,24 +335,9 @@ def fig4_twotier_1k(quick: bool) -> Dict[str, float]:
     """Scale-out smoke: 20 clusters x (49 apps + 1 coordinator) = 1000
     nodes on the two-tier platform — the first size where the block
     latency tables, delivery batching and the bounded collector all
-    engage.  CI runs this one (quick) under the regression gate.
-    Carries a digest: the serial twin of ``fig4_twotier_1k_horizon``."""
+    engage.  CI runs this one (quick) under the regression gate."""
     n_cs = 3 if quick else 10
-    config = _twotier_config(20, 49, n_cs)
-    result = _scaleout_run(config)
-    result["digest"] = _digest_of(config)
-    return result
-
-
-def fig4_twotier_1k_horizon(quick: bool) -> Dict[str, float]:
-    """The 1k scale-out run through the horizon scheduler.  Digest must
-    equal ``fig4_twotier_1k``'s — window-batched calendar draining
-    (``pop_window``/``push_many``) preserves the serial order."""
-    n_cs = 3 if quick else 10
-    config = _twotier_config(20, 49, n_cs).with_(horizon=True)
-    result = _scaleout_run(config)
-    result["digest"] = _digest_of(config)
-    return result
+    return _scaleout_run(_twotier_config(20, 49, n_cs))
 
 
 def fig4_twotier_5k(quick: bool) -> Dict[str, float]:
@@ -406,15 +346,6 @@ def fig4_twotier_5k(quick: bool) -> Dict[str, float]:
     < 2 GB) are read off this scenario."""
     n_cs = 2 if quick else 5
     return _scaleout_run(_twotier_config(50, 99, n_cs))
-
-
-def fig4_twotier_5k_horizon(quick: bool) -> Dict[str, float]:
-    """The 5k acceptance run through the horizon scheduler (order
-    equality for the horizon path is digest-pinned at the 1k size; a
-    5k digest replica would double the longest scenario for no extra
-    signal)."""
-    n_cs = 2 if quick else 5
-    return _scaleout_run(_twotier_config(50, 99, n_cs).with_(horizon=True))
 
 
 def _fig4_sweep_configs(quick: bool) -> List[ExperimentConfig]:
@@ -490,13 +421,10 @@ SCENARIO_FNS: Dict[str, Callable[[bool], Dict[str, float]]] = {
     "fig4_composition": fig4_composition,
     "fig4_composition_interpreted": fig4_composition_interpreted,
     "fig4_composition_compiled": fig4_composition_compiled,
-    "fig4_composition_horizon": fig4_composition_horizon,
     "flat_suzuki": flat_suzuki,
     "crash_recovery": crash_recovery,
     "fig4_twotier_1k": fig4_twotier_1k,
-    "fig4_twotier_1k_horizon": fig4_twotier_1k_horizon,
     "fig4_twotier_5k": fig4_twotier_5k,
-    "fig4_twotier_5k_horizon": fig4_twotier_5k_horizon,
     "fig4_sweep_no_cache": fig4_sweep_no_cache,
     "fig4_sweep_cold_cache": fig4_sweep_cold_cache,
     "fig4_sweep_warm_cache": fig4_sweep_warm_cache,

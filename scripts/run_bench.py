@@ -44,13 +44,11 @@ from benchmarks.perf import (  # noqa: E402
     write_report,
 )
 
-#: Digest-equality gate: each pair is (serial twin, variant leg); any
-#: divergence means the variant is no longer bit-identical and its
-#: speedup number is meaningless.
+#: Digest-equality gate: each pair is (interpreted leg, compiled leg);
+#: any divergence means the compiled backend is no longer bit-identical
+#: and its speedup number is meaningless.
 DIGEST_PAIRS = (
     ("fig4_composition_interpreted", "fig4_composition_compiled"),
-    ("fig4_composition_interpreted", "fig4_composition_horizon"),
-    ("fig4_twotier_1k", "fig4_twotier_1k_horizon"),
 )
 
 
@@ -105,9 +103,9 @@ def main(argv=None) -> int:
               f"{r['messages_per_s']:>11,.0f}  {r['wall_s']:>8.3f}")
 
     # Equivalence gate: each tracked pair carries the event-stream
-    # digest of both legs; any divergence means the variant (compiled
-    # dispatch, horizon windows) is no longer bit-identical and its
-    # speedup number is meaningless — fail before writing anything else.
+    # digest of both legs; any divergence means the compiled backend is
+    # no longer bit-identical and its speedup number is meaningless —
+    # fail before writing anything else.
     for serial_name, variant_name in DIGEST_PAIRS:
         serial = results.get(serial_name)
         variant = results.get(variant_name)

@@ -100,7 +100,6 @@ class CompiledNetwork(Network):
             self._ev_heap = None
             self._ev_cal = heap_obj
         self._salt = self.sim._tie_salt
-        self._saved_queues = None  # set while a horizon window is open
         #: static for the network's lifetime: crash/fault/FIFO traffic
         #: must run the interpreted pipeline verbatim.
         self._slow = (
@@ -154,38 +153,6 @@ class CompiledNetwork(Network):
 
     def remove_send_tap(self, tap) -> None:
         super().remove_send_tap(tap)
-        self._flags_version = -1
-
-    # ------------------------------------------------------------------ #
-    # horizon windows
-    # ------------------------------------------------------------------ #
-    # The "immutable-for-the-run" queue aliases above have exactly one
-    # sanctioned exception: the horizon scheduler swaps a window façade
-    # into the kernel for the duration of one conservative window.  The
-    # façade speaks the calendar push protocol, so re-aiming `_ev_cal`
-    # at it routes both fused and ultra sends through the window's
-    # intra/deferred split without a per-send branch.
-    def enter_window(self, window_queue) -> None:
-        self._saved_queues = (self._ev_heap, self._ev_cal)
-        self._ev_heap = None
-        self._ev_cal = window_queue
-
-    def exit_window(self) -> None:
-        self._ev_heap, self._ev_cal = self._saved_queues
-        self._saved_queues = None
-
-    def set_cluster_partition(self, owned, outbox) -> None:
-        super().set_cluster_partition(owned, outbox)
-        # Partitioned traffic must take the interpreted `_schedule_delivery`
-        # (where the partition check lives); `_slow` diverts both fused
-        # and ultra sends there, and the version reset makes already-
-        # promoted peers re-evaluate `_ultra_ok` on their next send.
-        self._slow = (
-            owned is not None
-            or self.crashes is not None
-            or self.faults is not None
-            or self.fifo
-        )
         self._flags_version = -1
 
     # ------------------------------------------------------------------ #

@@ -508,12 +508,7 @@ class CompiledApplicationProcess(ApplicationProcess):
     _think_i: int = 0
 
     def _bind_workload(self) -> None:
-        # The tie salt is immutable for the run and safe to cache.  The
-        # queue is NOT cached (unlike CompiledNetwork's aliases): the
-        # horizon scheduler swaps a window façade into ``sim._heap``
-        # mid-run, and a stale alias here would push timers past the
-        # open window — the push sites read ``sim._heap`` per call and
-        # branch on its type instead (one extra load per timer).
+        # The tie salt is immutable for the run and safe to cache.
         self._ev_salt = self.sim._tie_salt
         if self.distribution == "exponential" and self.beta > 0.0:
             n = self.n_cs - self.completed
@@ -561,7 +556,7 @@ class CompiledApplicationProcess(ApplicationProcess):
         heap = sim._heap
         if type(heap) is list:
             heappush(heap, (due, seq, event))
-        else:  # CalendarQueue or the horizon window façade
+        else:  # CalendarQueue
             heap.push((due, seq, event))
         sim._seq += 1
 
@@ -609,7 +604,7 @@ class CompiledApplicationProcess(ApplicationProcess):
             heap = sim._heap
             if type(heap) is list:
                 heappush(heap, (due, seq, event))
-            else:  # CalendarQueue or the horizon window façade
+            else:  # CalendarQueue
                 heap.push((due, seq, event))
             sim._seq += 1
         elif self.on_done is not None:

@@ -113,18 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(bit-identical results, faster)")
     run_p.add_argument("--queue", default="heap",
                        choices=("heap", "calendar"),
-                       help="kernel event queue (calendar pays off at "
-                            "1k+ nodes; digest-identical)")
-    run_p.add_argument("--horizon", action="store_true",
-                       help="conservative lookahead-parallel execution: "
-                            "drain events in windows of the minimum "
-                            "inter-cluster latency (exact order; "
-                            "self-refusing when unsafe)")
-    run_p.add_argument("--parallel-clusters", type=int, default=0,
-                       metavar="K",
-                       help="farm horizon windows to K worker processes "
-                            "(implies --horizon; exact results, refused "
-                            "under observation/jitter)")
+                       help="kernel event queue (digest-identical; "
+                            "calendar showed no gain on the interpreted "
+                            "backend, only on compiled 5k-node runs)")
     run_p.add_argument("--json", action="store_true",
                        help="emit the result as JSON instead of text")
     _add_cache_flags(run_p)
@@ -215,8 +206,6 @@ def _cmd_run(args) -> int:
         jitter=args.jitter,
         backend=args.backend,
         queue=args.queue,
-        horizon=args.horizon or args.parallel_clusters > 1,
-        parallel_clusters=args.parallel_clusters,
         # The multilevel hierarchy is built from the --intra/--inter
         # flags like every other system (this used to hard-code
         # ("naimi", "naimi"), silently ignoring both flags).

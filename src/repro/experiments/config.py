@@ -109,22 +109,6 @@ class ExperimentConfig:
     #: kernel seqs), so excluded from the cache key like ``backend``.
     batch_delivery: Optional[bool] = field(default=None,
                                            metadata={"cache_key": False})
-    #: Conservative lookahead-parallel execution (see
-    #: :mod:`repro.sim.horizon`): drain the calendar in windows of the
-    #: minimum inter-cluster latency instead of one global pop per
-    #: event.  Exact-order by construction (bit-identical digests,
-    #: pinned by the horizon equivalence matrix) and self-refusing
-    #: under crashes/faults/FIFO/taps/tie-salt/jitter — so, like
-    #: ``backend``, it is excluded from cache keys.
-    horizon: bool = field(default=False, metadata={"cache_key": False})
-    #: Opt-in multi-core horizon execution: farm each conservative
-    #: window's clusters to this many worker processes
-    #: (``0``/``1`` = single-threaded).  Requires ``horizon`` and an
-    #: unobserved run (``obs="off"``, no trace subscribers): results are
-    #: exact (merged CS records) but the event interleaving is not
-    #: serially ordered, so observation refuses and falls back serial.
-    #: Excluded from cache keys like ``backend``.
-    parallel_clusters: int = field(default=0, metadata={"cache_key": False})
     label: str = ""
 
     # ------------------------------------------------------------------ #
@@ -227,16 +211,6 @@ class ExperimentConfig:
         if self.queue not in QUEUES:
             raise ConfigurationError(
                 f"unknown queue {self.queue!r}; choose from {QUEUES}"
-            )
-        if self.parallel_clusters < 0:
-            raise ConfigurationError(
-                f"parallel_clusters must be >= 0, got {self.parallel_clusters}"
-            )
-        if self.parallel_clusters > 1 and not self.horizon:
-            raise ConfigurationError(
-                "parallel_clusters requires horizon=True (the conservative "
-                "window machinery is what makes cluster-parallel execution "
-                "sound)"
             )
 
     def describe(self) -> str:

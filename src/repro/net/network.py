@@ -123,13 +123,6 @@ class Network:
         # Delivery interception (repro.analysis.explore): when set, sends
         # are captured instead of scheduled — see set_delivery_intercept.
         self._intercept: Optional[Handler] = None
-        # Cluster partition (repro.experiments.clusterpool): when set,
-        # sends whose destination cluster this process does not own are
-        # captured into the outbox instead of scheduled locally — see
-        # set_cluster_partition.
-        self._partition_owned = None
-        self._partition_outbox = None
-        self._partition_cluster_of = None
 
     # ------------------------------------------------------------------ #
     # registration
@@ -251,43 +244,6 @@ class Network:
         """
         self._deliver(msg)
 
-    # ------------------------------------------------------------------ #
-    # cluster partitioning (repro.experiments.clusterpool)
-    # ------------------------------------------------------------------ #
-    def set_cluster_partition(self, owned, outbox) -> None:
-        """Capture sends leaving the ``owned`` clusters instead of
-        scheduling them.
-
-        The cluster-parallel worker's hook: ``owned`` is the set of
-        cluster ids this process executes, ``outbox`` a list that
-        receives ``(due_ms, msg)`` pairs for every send whose
-        destination cluster belongs to another worker.  The latency is
-        sampled *here*, by the sending worker — the same draw the serial
-        run would make — so the receiving worker schedules the delivery
-        at the exact same absolute time via :meth:`inject_delivery`.
-        Sends inside the owned clusters are unaffected.  Pass
-        ``owned=None`` to clear.
-        """
-        if owned is None:
-            self._partition_owned = None
-            self._partition_outbox = None
-            self._partition_cluster_of = None
-            return
-        self._partition_owned = frozenset(owned)
-        self._partition_outbox = outbox
-        self._partition_cluster_of = self.topology._cluster_of
-
-    def inject_delivery(self, msg: Message, due: float) -> None:
-        """Schedule a delivery captured by another worker's outbox.
-
-        ``due`` is absolute simulated time (stamped by the sender);
-        conservative lookahead guarantees it lies at or beyond the
-        receiving worker's window barrier, so it is never in the past.
-        """
-        msg.seq = self._seq
-        self._seq += 1
-        self.sim.post_at(due, self._deliver, (msg,))
-
     @property
     def seq_watermark(self) -> int:
         """The sequence number the *next* scheduled delivery will carry.
@@ -375,23 +331,6 @@ class Network:
             msg.seq = self._seq
             self._seq += 1
             self._intercept(msg)
-            return
-        if (
-            self._partition_owned is not None
-            and self._partition_cluster_of[msg.dst]
-            not in self._partition_owned
-        ):
-            # Cluster-parallel worker: this destination belongs to
-            # another process.  Sample the latency here (the sender's
-            # draw) and hand the absolute due time to the outbox; the
-            # owning worker injects it after the next window barrier.
-            delay = (
-                self.latency.one_way(msg.src, msg.dst, self._rng)
-                * extra_factor
-            )
-            msg.seq = self._seq
-            self._seq += 1
-            self._partition_outbox.append((self.sim._now + delay, msg))
             return
         sim = self.sim
         delay = self.latency.one_way(msg.src, msg.dst, self._rng) * extra_factor

@@ -15,7 +15,6 @@ Public surface:
 
 from .calqueue import CalendarQueue
 from .event import Event, EventHandle
-from .horizon import HorizonScheduler, LookaheadPlan, derive_plan
 from .kernel import Simulator
 from .process import Process
 from .rng import RngRegistry, stable_hash
@@ -25,9 +24,6 @@ __all__ = [
     "CalendarQueue",
     "Event",
     "EventHandle",
-    "HorizonScheduler",
-    "LookaheadPlan",
-    "derive_plan",
     "Simulator",
     "Process",
     "RngRegistry",

@@ -24,7 +24,9 @@ population; the calendar queue pays O(log k) in the population of the
 1k-10k-node grids where tens of thousands of deliveries cluster within a
 few simulated milliseconds, buckets stay small and shallow.  The
 structure is opt-in because on paper-scale runs (hundreds of pending
-events) the plain heap's constant factor wins.
+events) the plain heap's constant factor wins.  Measured end to end, the
+gain shows only on the compiled backend at 5k nodes; on the interpreted
+backend the heap was as fast or faster at that size.
 """
 
 from __future__ import annotations
@@ -108,73 +110,6 @@ class CalendarQueue:
                 continue
             return bucket[0]
         return None
-
-    def pop_window(self, cut: float) -> List[_Entry]:
-        """Remove and return every entry with ``time < cut``, sorted.
-
-        The horizon scheduler's bulk-extraction path: buckets strictly
-        below the cut's bucket are taken *whole* (one ``sort`` per
-        bucket instead of a heap-pop per entry — this is where the
-        calendar structure pays off), and the boundary bucket is drained
-        selectively.  The returned list is in exact ``(time, seq)``
-        order; tombstones are included (the caller's drain loop skips
-        them, exactly as :meth:`repro.sim.kernel.Simulator.step` would).
-        """
-        out: List[_Entry] = []
-        ids = self._ids
-        buckets = self._buckets
-        cut_id = int(cut // self._width)
-        while ids:
-            b = ids[0]
-            bucket = buckets.get(b)
-            if not bucket:  # defensively skip a drained id
-                heapq.heappop(ids)
-                buckets.pop(b, None)
-                continue
-            if b < cut_id:
-                # Whole bucket: every entry's time < (b+1)*width <= cut.
-                heapq.heappop(ids)
-                del buckets[b]
-                bucket.sort()
-                out.extend(bucket)
-                self._len -= len(bucket)
-                continue
-            if b > cut_id:
-                break
-            # Boundary bucket: entries straddle the cut.
-            while bucket and bucket[0][0] < cut:
-                out.append(heapq.heappop(bucket))
-                self._len -= 1
-            if not bucket:
-                heapq.heappop(ids)
-                del buckets[b]
-            break
-        return out
-
-    def push_many(self, entries: List[_Entry]) -> None:
-        """Bulk insert (the horizon scheduler's barrier path).
-
-        Appends into each target bucket and re-heapifies only the
-        touched ones — O(bucket) per touched bucket instead of
-        O(k log bucket) for k per-entry pushes landing in it."""
-        buckets = self._buckets
-        width = self._width
-        new_ids: List[int] = []
-        touched = set()
-        for entry in entries:
-            b = int(entry[0] // width)
-            bucket = buckets.get(b)
-            if bucket is None:
-                buckets[b] = [entry]
-                new_ids.append(b)
-            else:
-                bucket.append(entry)
-                touched.add(b)
-        for b in touched:
-            heapq.heapify(buckets[b])
-        for b in new_ids:
-            heapq.heappush(self._ids, b)
-        self._len += len(entries)
 
     def compact(self) -> None:
         """Drop every cancelled entry and rebuild the buckets in place."""

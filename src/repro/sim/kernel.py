@@ -131,11 +131,6 @@ class Simulator:
         self._stopped = False
         self._fired = 0
         self._cancelled = 0  # tombstones still physically in the heap
-        #: Set by the horizon scheduler while a window drain has the
-        #: calendar split between the global queue and a window-local
-        #: façade: compaction would only see one half, so it is deferred
-        #: to the window barrier (where the scheduler re-checks it).
-        self._defer_compact = False
         self.tie_seed = tie_seed
         #: precomputed offset so distinct tie seeds yield distinct orders
         self._tie_salt: Optional[int] = (
@@ -410,8 +405,7 @@ class Simulator:
                     continue
                 return event
             return None
-        # Any non-list queue (CalendarQueue, the horizon window façade)
-        # speaks the head()/pop() protocol.
+        # CalendarQueue speaks the head()/pop() protocol.
         while True:
             entry = heap.head()
             if entry is None:
@@ -433,7 +427,6 @@ class Simulator:
         if (
             self._cancelled > _COMPACT_MIN_CANCELLED
             and self._cancelled * 2 > len(self._heap)
-            and not self._defer_compact
         ):
             self._compact()
 
@@ -449,7 +442,6 @@ class Simulator:
             heap[:] = [entry for entry in heap if not entry[2].cancelled]
             heapq.heapify(heap)
         else:
-            # CalendarQueue (or any queue façade exposing compact()).
             heap.compact()
         self._cancelled = 0
 

@@ -83,6 +83,30 @@ class TestCalendarQueue:
         with pytest.raises(SimulationError):
             CalendarQueue(width_ms=0.0)
 
+    def test_mixed_operations_match_reference_heap(self):
+        rng = random.Random(1234)
+        heap: list = []
+        cal = CalendarQueue()
+        seq = 0
+        now = 0.0
+        for _ in range(300):
+            if rng.random() < 0.45:
+                batch = [
+                    _entry(now + rng.uniform(0.0, 15.0), seq + i)
+                    for i in range(rng.randrange(1, 6))
+                ]
+                seq += len(batch)
+                for e in batch:
+                    cal.push(e)
+                    heapq.heappush(heap, e)
+            elif heap:
+                popped = cal.pop()
+                assert popped == heapq.heappop(heap)
+                assert cal.head() == (heap[0] if heap else None)
+                now = max(now, popped[0])
+            assert len(cal) == len(heap)
+        assert sorted(cal) == sorted(heap)
+
 
 class TestKernelQueueKnob:
     def test_unknown_queue_rejected(self):
@@ -115,3 +139,37 @@ class TestKernelQueueKnob:
         assert sim.now == 5.0
         sim.run()
         assert fired == ["a", "b", "late"]
+
+    @pytest.mark.parametrize("seed", [5, 99, 2024])
+    def test_cancelling_timer_web_fires_identically(self, seed):
+        def run(queue: str) -> list:
+            sim = Simulator(seed=0, queue=queue)
+            fired: list = []
+            _random_workload(sim, fired, seed)
+            sim.run(until=10_000.0)
+            return fired
+
+        assert run("calendar") == run("heap")
+
+
+def _random_workload(sim: Simulator, fired: list, seed: int) -> None:
+    """Self-expanding random timer web: each firing schedules 0-2 more
+    events and occasionally cancels a pending one, so tombstones
+    interleave with pops on both queue implementations."""
+    rng = random.Random(seed)
+    pending = []
+    state = {"budget": 600}
+
+    def tick(tag: int) -> None:
+        fired.append((sim.now, tag))
+        if state["budget"] <= 0:
+            return
+        for _ in range(rng.randrange(0, 3)):
+            state["budget"] -= 1
+            tag2 = state["budget"]
+            pending.append(sim.schedule(rng.uniform(0.1, 12.0), tick, tag2))
+        if pending and rng.random() < 0.2:
+            pending.pop(rng.randrange(len(pending))).cancel()
+
+    for i in range(8):
+        sim.schedule(rng.uniform(0.0, 3.0), tick, -i)
