@@ -7,7 +7,7 @@ by CI and the regression gate) and a full flavour (paper scale).
 
 The scenarios are chosen to stress complementary paths:
 
-* ``kernel_spin``      — pure calendar-queue churn, no network, no tracing:
+* ``kernel_spin``      — pure event-queue churn, no network, no tracing:
                          the kernel's floor.
 * ``fig4_composition`` — the paper's Fig. 4 workload (Naimi/Naimi
                          composition on the 9-site Grid'5000 matrix): the
@@ -21,8 +21,7 @@ The scenarios are chosen to stress complementary paths:
 * ``fig4_twotier_1k`` / ``fig4_twotier_5k`` — fig4-style compositions on
                          1000- and 5000-node two-tier grids: the O(N)-
                          memory scale-out path (block latency tables,
-                         delivery batching, calendar queue, bounded
-                         metrics).  They carry a ``peak_rss_mb`` gauge
+                         bounded metrics).  They carry a ``peak_rss_mb`` gauge
                          asserted against ``mem_budget_mb`` (2 GB) by
                          the bench driver.
 * ``fig4_sweep_no_cache`` / ``fig4_sweep_cold_cache`` /
@@ -65,16 +64,14 @@ def _timed_run(sim: Simulator, until: float) -> float:
 def _build_experiment(config: ExperimentConfig):
     """Construct a ``run_experiment``-shaped simulation, ready to run."""
     config.validate()
-    sim = Simulator(seed=config.seed, queue=config.queue)
+    sim = Simulator(seed=config.seed)
     topology, latency = build_platform(config)
     if config.backend == "compiled":
         from repro.compile import CompiledNetwork
 
-        net = CompiledNetwork(sim, topology, latency, fifo=config.fifo,
-                              batch=config.batch_delivery)
+        net = CompiledNetwork(sim, topology, latency, fifo=config.fifo)
     else:
-        net = Network(sim, topology, latency, fifo=config.fifo,
-                      batch=config.batch_delivery)
+        net = Network(sim, topology, latency, fifo=config.fifo)
     system = build_system(sim, net, topology, config)
     MutualExclusionChecker(sim.trace, include=_app_cs_filter(system.app_nodes))
 
@@ -139,9 +136,9 @@ def _digest_of(config: ExperimentConfig) -> str:
 # scenarios
 # --------------------------------------------------------------------- #
 def kernel_spin(quick: bool) -> Dict[str, float]:
-    """Pure calendar churn: schedule/fire cost with an empty payload.
+    """Pure event-queue churn: schedule/fire cost with an empty payload.
 
-    256 concurrent self-rescheduling chains keep the calendar populated
+    256 concurrent self-rescheduling chains keep the heap populated
     (a 1-deep heap would be degenerate: real runs hold hundreds of
     pending timers/deliveries, and heap depth is what the pop/push path
     is paid on)."""
@@ -300,8 +297,8 @@ def _twotier_config(n_clusters: int, apps_per_cluster: int,
                     n_cs: int) -> ExperimentConfig:
     """A fig4-style Naimi/Naimi composition on the uniform two-tier
     platform, configured for the O(N)-memory scale-out path: compiled
-    backend, calendar event queue, delivery batching forced on (it would
-    auto-enable anyway above :data:`LARGE_GRID_NODES` nodes)."""
+    backend, block latency tables, and the bounded collector above
+    :data:`LARGE_GRID_NODES` applications."""
     n_apps = n_clusters * apps_per_cluster
     return ExperimentConfig(
         system="composition",
@@ -314,8 +311,6 @@ def _twotier_config(n_clusters: int, apps_per_cluster: int,
         rho=float(n_apps),
         seed=1,
         backend="compiled",
-        queue="calendar",
-        batch_delivery=True,
     )
 
 
@@ -333,9 +328,10 @@ def _scaleout_run(config: ExperimentConfig) -> Dict[str, float]:
 
 def fig4_twotier_1k(quick: bool) -> Dict[str, float]:
     """Scale-out smoke: 20 clusters x (49 apps + 1 coordinator) = 1000
-    nodes on the two-tier platform — the first size where the block
-    latency tables, delivery batching and the bounded collector all
-    engage.  CI runs this one (quick) under the regression gate."""
+    nodes on the two-tier platform — past the 512-node cap, so the block
+    latency tables engage (980 applications stay below the bounded
+    collector's 1024).  CI runs this one (quick) under the regression
+    gate."""
     n_cs = 3 if quick else 10
     return _scaleout_run(_twotier_config(20, 49, n_cs))
 

@@ -79,31 +79,26 @@ _EVICT_TO = 0.8
 _SAFE_COMPONENT = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]{0,127}")
 
 
-class _CanonicalPickler(pickle._Pickler):  # noqa: SLF001 - pure-Python pickler
-    """Pickler with string memoization disabled.
+def canonical_dumps(obj: Any) -> bytes:
+    """Pickle ``obj`` into identity-independent canonical bytes.
 
-    Ordinary pickling records every string in the memo and emits a
+    Ordinary pickling records every object in the memo and emits a
     back-reference (``BINGET``) when the *same object* reappears, so the
     byte stream depends on identity sharing — which differs between a
     result computed in-process (its strings alias the caller's config
     literals) and the same result computed by a farm worker from an
-    *unpickled* config.  Skipping the memo for strings makes the blob a
-    pure function of the value: equal results serialize to equal bytes
-    no matter which process produced them, which is what lets the farm
-    promise byte-identical results and the content-addressed store
-    deduplicate honestly.
+    *unpickled* config.  The C pickler's fast mode skips the memo, so
+    every value is written out in full wherever it occurs and the blob
+    is a pure function of the value: equal results serialize to equal
+    bytes no matter which process produced them, which is what lets the
+    farm promise byte-identical results and the content-addressed store
+    deduplicate honestly.  (Fast mode refuses self-referential objects;
+    results are plain trees.)
     """
-
-    def memoize(self, obj: Any) -> None:
-        if type(obj) is str:
-            return
-        super().memoize(obj)
-
-
-def canonical_dumps(obj: Any) -> bytes:
-    """Pickle ``obj`` into identity-independent canonical bytes."""
     buf = io.BytesIO()
-    _CanonicalPickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump(obj)
     return buf.getvalue()
 
 

@@ -88,17 +88,9 @@ class CompiledNetwork(Network):
         super().__init__(*args, **kwargs)
         self._pending_stats = {}
         # Immutable-for-the-run aliases: the kernel never rebinds its
-        # queue (compaction mutates it in place) and the tie salt is set
-        # once in Simulator.__init__.  A list queue is pushed with the
-        # module-level heappush; a calendar queue through its push method
-        # (`_ev_heap is None` selects the branch in the hot paths).
-        heap_obj = self.sim._heap
-        if type(heap_obj) is list:
-            self._ev_heap = heap_obj
-            self._ev_cal = None
-        else:
-            self._ev_heap = None
-            self._ev_cal = heap_obj
+        # heap (compaction mutates it in place) and the tie salt is set
+        # once in Simulator.__init__.
+        self._ev_heap = self.sim._heap
         self._salt = self.sim._tie_salt
         #: static for the network's lifetime: crash/fault/FIFO traffic
         #: must run the interpreted pipeline verbatim.
@@ -269,43 +261,13 @@ class CompiledNetwork(Network):
         due = now + self._delay_inline(src, dst)
         msg.seq = self._seq
         self._seq += 1
-        if self._batching:
-            # Same coalescing contract as the interpreted path (see
-            # Network._schedule_delivery); items are generic
-            # ``(callback, args)`` pairs so fused, ultra and interpreted
-            # deliveries can share one batch event.
-            ev = self._bat_event
-            if (
-                ev is not None
-                and due == self._bat_due
-                and sim._seq == self._bat_seq
-                and not ev.cancelled
-                and not trace.event_active
-            ):
-                if ev.callback is self._run_batch:
-                    ev.args[0].append((self._fast_deliver, (msg,)))
-                else:
-                    ev.args = ([(ev.callback, ev.args),
-                                (self._fast_deliver, (msg,))],)
-                    ev.callback = self._run_batch
-                sim._seq += 1  # burn the unbatched event's seq
-                self._bat_seq = sim._seq
-                return msg
         seq = sim._seq
         event = Event(due, seq, self._fast_deliver, (msg,))
         salt = sim._tie_salt
         if salt is not None:
             seq = _mix64(seq ^ salt)
-        heap = self._ev_heap
-        if heap is not None:
-            heappush(heap, (due, seq, event))
-        else:
-            self._ev_cal.push((due, seq, event))
+        heappush(self._ev_heap, (due, seq, event))
         sim._seq += 1
-        if self._batching:
-            self._bat_event = event
-            self._bat_due = due
-            self._bat_seq = sim._seq
         return msg
 
     def _record_inline(
@@ -472,24 +434,6 @@ class CompiledNetwork(Network):
         else:
             due = now + latency.one_way(src, dst, self._rng)
         self._seq += 1  # Message.seq watermark, identically consumed
-        if self._batching:
-            ev = self._bat_event
-            if (
-                ev is not None
-                and due == self._bat_due
-                and sim._seq == self._bat_seq
-                and not ev.cancelled
-                and not trace.event_active
-            ):
-                if ev.callback is self._run_batch:
-                    ev.args[0].append((fn, (route.peer, src, payload)))
-                else:
-                    ev.args = ([(ev.callback, ev.args),
-                                (fn, (route.peer, src, payload))],)
-                    ev.callback = self._run_batch
-                sim._seq += 1  # burn the unbatched event's seq
-                self._bat_seq = sim._seq
-                return
         seq = sim._seq
         event = Event.__new__(Event)
         event.time = due
@@ -501,13 +445,5 @@ class CompiledNetwork(Network):
         salt = self._salt
         if salt is not None:
             seq = _mix64(seq ^ salt)
-        heap = self._ev_heap
-        if heap is not None:
-            heappush(heap, (due, seq, event))
-        else:
-            self._ev_cal.push((due, seq, event))
+        heappush(self._ev_heap, (due, seq, event))
         sim._seq += 1
-        if self._batching:
-            self._bat_event = event
-            self._bat_due = due
-            self._bat_seq = sim._seq

@@ -553,11 +553,7 @@ class CompiledApplicationProcess(ApplicationProcess):
         salt = self._ev_salt
         if salt is not None:
             seq = _mix64(seq ^ salt)
-        heap = sim._heap
-        if type(heap) is list:
-            heappush(heap, (due, seq, event))
-        else:  # CalendarQueue
-            heap.push((due, seq, event))
+        heappush(sim._heap, (due, seq, event))
         sim._seq += 1
 
     def _release(self) -> None:
@@ -601,11 +597,7 @@ class CompiledApplicationProcess(ApplicationProcess):
             salt = self._ev_salt
             if salt is not None:
                 seq = _mix64(seq ^ salt)
-            heap = sim._heap
-            if type(heap) is list:
-                heappush(heap, (due, seq, event))
-            else:  # CalendarQueue
-                heap.push((due, seq, event))
+            heappush(sim._heap, (due, seq, event))
             sim._seq += 1
         elif self.on_done is not None:
             self.on_done(self)

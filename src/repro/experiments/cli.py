@@ -111,11 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution backend: 'compiled' lowers the "
                             "protocol onto table-driven dispatch "
                             "(bit-identical results, faster)")
-    run_p.add_argument("--queue", default="heap",
-                       choices=("heap", "calendar"),
-                       help="kernel event queue (digest-identical; "
-                            "calendar showed no gain on the interpreted "
-                            "backend, only on compiled 5k-node runs)")
     run_p.add_argument("--json", action="store_true",
                        help="emit the result as JSON instead of text")
     _add_cache_flags(run_p)
@@ -205,7 +200,6 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         jitter=args.jitter,
         backend=args.backend,
-        queue=args.queue,
         # The multilevel hierarchy is built from the --intra/--inter
         # flags like every other system (this used to hard-code
         # ("naimi", "naimi"), silently ignoring both flags).

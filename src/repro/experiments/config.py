@@ -16,7 +16,6 @@ from ..mutex.registry import get_algorithm
 
 __all__ = [
     "ExperimentConfig", "SYSTEMS", "PLATFORMS", "OBS_LEVELS", "BACKENDS",
-    "QUEUES",
 ]
 
 SYSTEMS = ("composition", "flat", "adaptive", "multilevel")
@@ -27,12 +26,6 @@ PLATFORMS = ("grid5000", "two-tier", "random-wan")
 #: The two are equivalent by construction — bit-identical RunDigests —
 #: so the backend deliberately does **not** participate in cache keys.
 BACKENDS = ("interpreted", "compiled")
-#: Kernel event-queue implementations (see
-#: :class:`repro.sim.kernel.Simulator`): the tuple binary ``heap`` or the
-#: bucketed ``calendar`` queue for 1k+-node event populations.  Both pop
-#: in the identical ``(time, seq)`` total order — digest-equal — so like
-#: ``backend`` the choice does not participate in cache keys.
-QUEUES = ("heap", "calendar")
 #: Observability verbosity (see :mod:`repro.obs`): ``off`` attaches
 #: nothing (the hot path stays bare), ``counters`` adds cheap event
 #: counters, ``paths`` adds vector clocks + critical-path breakdown,
@@ -98,17 +91,6 @@ class ExperimentConfig:
     #: matrix gates this), so both must address the same cache entry.
     backend: str = field(default="interpreted",
                          metadata={"cache_key": False})
-    #: Kernel event queue (one of :data:`QUEUES`).  Equivalence-gated
-    #: like ``backend`` (bit-identical pop order), so it is likewise
-    #: excluded from the cache key.
-    queue: str = field(default="heap", metadata={"cache_key": False})
-    #: Same-instant delivery coalescing (see
-    #: :class:`repro.net.network.Network`): ``None`` auto-enables above
-    #: :data:`repro.net.topology.LARGE_GRID_NODES` nodes, ``True``/
-    #: ``False`` force it.  Digest-identical by construction (burned
-    #: kernel seqs), so excluded from the cache key like ``backend``.
-    batch_delivery: Optional[bool] = field(default=None,
-                                           metadata={"cache_key": False})
     label: str = ""
 
     # ------------------------------------------------------------------ #
@@ -151,9 +133,9 @@ class ExperimentConfig:
         included), keys are sorted so field order can never matter,
         nested ``hierarchy`` tuples render as JSON arrays, and floats
         use their shortest round-trip ``repr``.  Fields tagged with
-        ``metadata={"cache_key": False}`` — ``backend``, ``queue`` and
-        ``batch_delivery``, all equivalence-gated — are excluded so they
-        can never split the key space.  ``tests/cache/test_keys.py`` pins the
+        ``metadata={"cache_key": False}`` (the equivalence-gated
+        ``backend``) are excluded so they can never split the key
+        space.  ``tests/cache/test_keys.py`` pins the
         exact output: any drift between Python versions or refactors
         fails loudly instead of silently splitting (or, worse,
         aliasing) cache keys.
@@ -196,6 +178,10 @@ class ExperimentConfig:
             raise ConfigurationError("alpha and rho must be positive")
         if self.n_cs < 1:
             raise ConfigurationError("n_cs must be >= 1")
+        if self.jitter < 0:
+            # A negative sigma would run jitter-free (identical outputs
+            # to jitter=0.0) under a different cache key.
+            raise ConfigurationError(f"jitter must be >= 0, got {self.jitter}")
         if self.distribution not in ("exponential", "fixed"):
             raise ConfigurationError(
                 f"unknown distribution {self.distribution!r}"
@@ -207,10 +193,6 @@ class ExperimentConfig:
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
-        if self.queue not in QUEUES:
-            raise ConfigurationError(
-                f"unknown queue {self.queue!r}; choose from {QUEUES}"
             )
 
     def describe(self) -> str:

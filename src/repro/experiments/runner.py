@@ -220,9 +220,7 @@ def _execute_experiment(
     obs_hook: Optional[Callable[[ObservabilityLayer], None]] = None,
 ) -> ExperimentResult:
     """The uncached run: build, simulate, check, aggregate."""
-    sim = Simulator(
-        seed=config.seed, tie_seed=config.tie_seed, queue=config.queue
-    )
+    sim = Simulator(seed=config.seed, tie_seed=config.tie_seed)
     topology, latency = build_platform(config)
     if config.batch_jitter:
         latency.enable_batched_jitter()
@@ -230,14 +228,10 @@ def _execute_experiment(
         from ..compile import CompiledNetwork
 
         net: Network = CompiledNetwork(
-            sim, topology, latency, fifo=config.fifo,
-            batch=config.batch_delivery,
+            sim, topology, latency, fifo=config.fifo
         )
     else:
-        net = Network(
-            sim, topology, latency, fifo=config.fifo,
-            batch=config.batch_delivery,
-        )
+        net = Network(sim, topology, latency, fifo=config.fifo)
     system = build_system(sim, net, topology, config)
 
     # Attach after build_system (every handler registered, so the

@@ -13,22 +13,6 @@ messages on the same link may be delivered out of send order when jitter
 is enabled.  ``fifo=True`` enforces per-``(src, dst, port)`` FIFO by
 never delivering a message earlier than its predecessor on the same
 flow — useful for isolating reordering effects in the ablation bench.
-
-Delivery batching (scale-out path)
-----------------------------------
-A broadcast on a jitter-free grid schedules many deliveries for the same
-instant; each becomes its own kernel event.  With ``batch=True`` (or
-automatically above :data:`~repro.net.topology.LARGE_GRID_NODES` nodes)
-consecutive same-instant deliveries coalesce into one kernel event that
-unpacks its messages in arrival order.  Coalescing only happens while
-the kernel sequence counter is *contiguous* with the open batch — i.e.
-no other event was scheduled in between — and the burned sequence
-numbers are re-consumed, so every event in the run keeps exactly the
-``(time, seq)`` key it would have had unbatched: the run is
-bit-identical (digest-pinned by the batching equivalence tests).
-Batching disables itself whenever per-message scheduling is observable:
-``fifo`` flows, fault injection, crash controllers, a tie-seed sanitizer
-salt, or an ``"event"`` trace subscriber.
 """
 
 from __future__ import annotations
@@ -41,7 +25,7 @@ from .faults import CrashController, FaultInjector
 from .latency import LatencyModel
 from .message import DEFAULT_MESSAGE_SIZE, Message
 from .stats import MessageStats
-from .topology import LARGE_GRID_NODES, GridTopology
+from .topology import GridTopology
 
 __all__ = ["Network"]
 
@@ -66,13 +50,6 @@ class Network:
     crashes:
         Optional :class:`~repro.net.faults.CrashController`; without one
         every node is permanently up and the crash checks short-circuit.
-    batch:
-        Coalesce consecutive same-instant deliveries into one kernel
-        event (see the module docstring).  ``None`` (the default) enables
-        it automatically above :data:`~repro.net.topology.LARGE_GRID_NODES`
-        nodes; ``True``/``False`` force it.  Forcing it on is still a
-        no-op when per-message scheduling is observable (``fifo``,
-        faults, crashes, a kernel tie salt).
     """
 
     def __init__(
@@ -83,7 +60,6 @@ class Network:
         fifo: bool = False,
         faults: Optional[FaultInjector] = None,
         crashes: Optional[CrashController] = None,
-        batch: Optional[bool] = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
@@ -91,24 +67,6 @@ class Network:
         self.fifo = fifo
         self.faults = faults
         self.crashes = crashes
-        if batch is None:
-            batch = topology.n_nodes >= LARGE_GRID_NODES
-        #: Whether delivery coalescing is armed.  Any feature that makes
-        #: per-message scheduling observable vetoes it (the ``"event"``
-        #: trace kind is checked per coalesce, as subscribers can attach
-        #: mid-run).
-        self._batching = (
-            bool(batch)
-            and not fifo
-            and faults is None
-            and crashes is None
-            and sim._tie_salt is None
-        )
-        # The open batch: the youngest delivery event, its due time, and
-        # the kernel sequence counter expected if nothing else scheduled.
-        self._bat_event = None
-        self._bat_due = 0.0
-        self._bat_seq = -1
         self.stats = MessageStats(topology)
         self._handlers: Dict[Tuple[int, str], Handler] = {}
         self._flow_clock: Dict[Tuple[int, int, str], float] = {}
@@ -342,47 +300,9 @@ class Network:
                 self._flow_clock[flow] = due
         msg.seq = self._seq
         self._seq += 1
-        if self._batching:
-            # Coalesce into the open batch when (a) due times match, (b)
-            # the kernel seq counter is contiguous with the batch (no
-            # other event was scheduled since — an interleaver would need
-            # a seq strictly between the batch's consecutive seqs, which
-            # cannot exist), and (c) the batch event has not fired yet
-            # (firing marks it cancelled).  The kernel seq is burned so
-            # every later event keeps its unbatched ``(time, seq)`` key.
-            ev = self._bat_event
-            if (
-                ev is not None
-                and due == self._bat_due
-                and sim._seq == self._bat_seq
-                and not ev.cancelled
-                and not sim.trace.event_active
-            ):
-                if ev.callback is self._run_batch:
-                    ev.args[0].append((self._deliver, (msg,)))
-                else:  # promote the single delivery to a batch in place
-                    ev.args = ([(ev.callback, ev.args),
-                                (self._deliver, (msg,))],)
-                    ev.callback = self._run_batch
-                sim._seq += 1  # burn the seq the unbatched event would take
-                self._bat_seq = sim._seq
-                return
-            self._bat_event = sim.post_at(due, self._deliver, (msg,))
-            self._bat_due = due
-            self._bat_seq = sim._seq
-            return
         # Handle-free scheduling: deliveries are never cancelled, and one
         # is created per message — the dominant event source by far.
         sim.post_at(due, self._deliver, (msg,))
-
-    def _run_batch(self, items: list) -> None:
-        """Unpack one coalesced delivery event in arrival order.
-
-        Items are generic ``(callback, args)`` pairs rather than bare
-        messages so the compiled transport can coalesce its fused and
-        table-dispatched deliveries into the same batch."""
-        for callback, args in items:
-            callback(*args)
 
     def _deliver(self, msg: Message) -> None:
         if self.crashes is not None and self.crashes.lost_in_flight(

@@ -13,7 +13,6 @@ Public surface:
 * :class:`~repro.sim.trace.Tracer` — zero-cost-when-idle structured tracing.
 """
 
-from .calqueue import CalendarQueue
 from .event import Event, EventHandle
 from .kernel import Simulator
 from .process import Process
@@ -21,7 +20,6 @@ from .rng import RngRegistry, stable_hash
 from .trace import Tracer, TraceRecord
 
 __all__ = [
-    "CalendarQueue",
     "Event",
     "EventHandle",
     "Simulator",

@@ -1,6 +1,6 @@
 """The discrete-event simulation kernel.
 
-The kernel is a classic calendar-queue simulator: a binary heap of
+The kernel is a binary-heap event-list simulator: a ``heapq`` list of
 ``(time, seq, event)`` entries ordered by ``(time, seq)``.  The
 simulated clock only moves when an event fires, so a run is fully
 deterministic given the same schedule and the same RNG seeds.
@@ -40,11 +40,10 @@ Typical usage::
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Iterable, Optional, Tuple, Union
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 from ..errors import SimulationError
-from .calqueue import CalendarQueue
 from .event import Event, EventHandle
 from .rng import RngRegistry
 from .trace import Tracer
@@ -95,12 +94,6 @@ class Simulator:
         any ``tie_seed``; the schedule-race sanitizer
         (:mod:`repro.analysis.sanitizer`) exploits this to turn latent
         event-ordering races into digest divergences.
-    queue:
-        ``"heap"`` (the default) keeps the tuple binary heap; ``"calendar"``
-        swaps in the bucketed :class:`~repro.sim.calqueue.CalendarQueue`
-        for large event populations (1k+ node grids).  Both pop in the
-        exact same ``(time, seq)`` total order, so a run is bit-identical
-        under either queue (digest-pinned by the equivalence tests).
     """
 
     def __init__(
@@ -108,25 +101,10 @@ class Simulator:
         seed: Optional[int] = None,
         trace: Optional[Tracer] = None,
         tie_seed: Optional[int] = None,
-        queue: str = "heap",
     ) -> None:
         self._now: float = 0.0
         self._seq: int = 0
-        if queue == "heap":
-            self._heap: Union[list[Tuple[float, int, Event]], CalendarQueue] = []
-            self._pushf: Callable[[Any, Tuple[float, int, Event]], None] = (
-                heapq.heappush
-            )
-            self._popf: Callable[[Any], Tuple[float, int, Event]] = heapq.heappop
-        elif queue == "calendar":
-            self._heap = CalendarQueue()
-            self._pushf = CalendarQueue.push
-            self._popf = CalendarQueue.pop
-        else:
-            raise SimulationError(
-                f"unknown queue {queue!r}: expected 'heap' or 'calendar'"
-            )
-        self.queue = queue
+        self._heap: list[Tuple[float, int, Event]] = []
         self._running = False
         self._stopped = False
         self._fired = 0
@@ -203,7 +181,7 @@ class Simulator:
         event = Event(time, seq, callback, args, label=label)
         if self._tie_salt is not None:
             seq = _mix64(seq ^ self._tie_salt)
-        self._pushf(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event))
         self._seq += 1
         return EventHandle(event, self)
 
@@ -228,7 +206,7 @@ class Simulator:
             # Sanitizer mode: permute the tie-break key (bijective, so
             # still unique — comparisons never reach the Event object).
             seq = _mix64(seq ^ self._tie_salt)
-        self._pushf(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event))
         self._seq += 1
         return event
 
@@ -242,9 +220,8 @@ class Simulator:
         empty.  Cancelled events are silently discarded.
         """
         heap = self._heap
-        pop = self._popf
         while heap:
-            event = pop(heap)[2]
+            event = heappop(heap)[2]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
@@ -282,7 +259,7 @@ class Simulator:
         self._running = True
         self._stopped = False
         heap = self._heap
-        pop = self._popf
+        pop = heappop
         trace = self.trace
         try:
             if until is None and max_events is None:
@@ -329,7 +306,7 @@ class Simulator:
                             continue
                         t = entry[0]
                         if t > until:
-                            self._pushf(heap, entry)
+                            heappush(heap, entry)
                             exhausted = True
                             break
                         self._now = t
@@ -396,26 +373,14 @@ class Simulator:
     def _peek(self) -> Optional[Event]:
         """Return the next non-cancelled event without firing it."""
         heap = self._heap
-        if type(heap) is list:
-            while heap:
-                event = heap[0][2]
-                if event.cancelled:
-                    heapq.heappop(heap)
-                    self._cancelled -= 1
-                    continue
-                return event
-            return None
-        # CalendarQueue speaks the head()/pop() protocol.
-        while True:
-            entry = heap.head()
-            if entry is None:
-                return None
-            event = entry[2]
+        while heap:
+            event = heap[0][2]
             if event.cancelled:
-                heap.pop()
+                heappop(heap)
                 self._cancelled -= 1
                 continue
             return event
+        return None
 
     # ------------------------------------------------------------------ #
     # lazy-deletion accounting
@@ -438,11 +403,8 @@ class Simulator:
         ``cancel()``.  Rebuilding preserves firing order exactly because
         ``(time, seq)`` keys are unique."""
         heap = self._heap
-        if type(heap) is list:
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
-            heapq.heapify(heap)
-        else:
-            heap.compact()
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapify(heap)
         self._cancelled = 0
 
     # ------------------------------------------------------------------ #

@@ -60,23 +60,6 @@ class TestCanonicalJson:
             TINY.with_(backend="compiled").cache_key() == TINY.cache_key()
         )
 
-    def test_queue_is_excluded_from_the_key(self):
-        # The calendar queue pops in the identical (time, seq) order —
-        # equivalence-gated like the backend, one cache entry.
-        assert "queue" not in TINY.cache_key()
-        assert TINY.with_(queue="calendar").cache_key() == TINY.cache_key()
-
-    def test_batch_delivery_is_excluded_from_the_key(self):
-        # Delivery batching burns kernel seqs to stay digest-identical,
-        # so forcing it on or off must not split the key space either.
-        assert "batch_delivery" not in TINY.cache_key()
-        assert (
-            TINY.with_(batch_delivery=True).cache_key() == TINY.cache_key()
-        )
-        assert (
-            TINY.with_(batch_delivery=False).cache_key() == TINY.cache_key()
-        )
-
     def test_metadata_excluded_fields_are_skipped(self):
         from dataclasses import dataclass, field
 

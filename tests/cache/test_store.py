@@ -13,6 +13,7 @@ from repro.cache.store import (
     CacheStats,
     ExperimentCache,
     cache_from_env,
+    canonical_dumps,
     resolve_cache,
 )
 from repro.experiments import ExperimentConfig, run_experiment
@@ -54,6 +55,22 @@ class TestRoundTrip:
         assert clone == result
         assert clone.obtaining == result.obtaining
         assert clone.obs_report == result.obs_report
+
+    def test_canonical_bytes_ignore_identity_sharing(self):
+        # Equal values must serialize to equal bytes whether their parts
+        # are one shared object or equal copies (a farm worker's result
+        # does not alias the caller's strings and tuples).
+        name = "".join(["na", "imi"])
+        pair = (name, 2.5)
+        shared = {"a": [name, name], "b": [pair, pair]}
+        copies = {
+            "a": ["".join(["na", "imi"]), "".join(["nai", "mi"])],
+            "b": [("".join(["na", "imi"]), 2.5), ("".join(["nai", "mi"]), 2.5)],
+        }
+        assert shared["b"][0] is shared["b"][1]
+        assert copies["a"][0] is not copies["a"][1]
+        assert canonical_dumps(shared) == canonical_dumps(copies)
+        assert pickle.loads(canonical_dumps(shared)) == shared
 
     def test_distinct_configs_do_not_alias(self, cache):
         a = run_experiment(CFG)

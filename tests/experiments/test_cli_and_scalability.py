@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.cli import main
 from repro.experiments.scalability import scalability_study
 
@@ -52,6 +53,11 @@ def test_cli_scalability(capsys):
 def test_cli_rejects_unknown_figure():
     with pytest.raises(SystemExit):
         main(["figure", "fig99"])
+
+
+def test_cli_run_rejects_negative_jitter():
+    with pytest.raises(ConfigurationError):
+        main(["run", "--jitter", "-0.3", "--n-cs", "2", "--no-cache"])
 
 
 def test_scalability_study_shapes():

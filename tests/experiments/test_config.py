@@ -64,7 +64,7 @@ def test_default_deadline_scales_with_workload():
         {"n_cs": 0},
         {"distribution": "pareto"},
         {"backend": "jit"},
-        {"queue": "fifo"},
+        {"jitter": -0.3},
     ],
 )
 def test_validation_rejects(changes):

@@ -109,20 +109,6 @@ def test_fifo_and_jitter_options_run():
     assert r.cs_count == 24
 
 
-def test_queue_and_batch_knobs_do_not_change_results():
-    cfg = ExperimentConfig(rho=6.0, jitter=0.05, **QUICK)
-    base = run_experiment(cfg)
-    for changes in (
-        {"queue": "calendar"},
-        {"batch_delivery": True},
-        {"queue": "calendar", "batch_delivery": True, "backend": "compiled"},
-    ):
-        r = run_experiment(cfg.with_(**changes))
-        assert r.cs_count == base.cs_count
-        assert r.total_messages == base.total_messages
-        assert r.obtaining == base.obtaining, changes
-
-
 def test_large_runs_use_bounded_collector(monkeypatch):
     # Lower the threshold instead of running a real 1024-app grid.
     import repro.experiments.runner as runner

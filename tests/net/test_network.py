@@ -1,5 +1,7 @@
 """Unit tests for the Network transport, stats and fault injection."""
 
+import random
+
 import pytest
 
 from repro.errors import NetworkError
@@ -101,6 +103,28 @@ def test_stats_per_port_and_reset():
     net.stats.reset()
     assert net.stats.total == 0
     assert net.stats.inter_cluster_for_ports("inter") == 0
+
+
+def test_jitter_free_burst_delivers_each_link_in_send_order():
+    # Many same-instant sends over a mesh of LAN and WAN links: without
+    # jitter every link must deliver in exactly send order (kernel FIFO
+    # tie-break), no per-flow clock needed.
+    sim, topo, net = make_net(n_clusters=3, nodes=3)
+    arrived = {}
+    for node in range(topo.n_nodes):
+        def handler(msg, _n=node):
+            arrived.setdefault((msg.src, _n), []).append(msg.payload["k"])
+        net.register(node, "app", handler)
+    sent = {}
+    rng = random.Random(11)
+    nodes = range(topo.n_nodes)
+    for k in range(400):
+        src = rng.choice(nodes)
+        dst = rng.choice([n for n in nodes if n != src])
+        net.send(src, dst, "app", "m", {"k": k})
+        sent.setdefault((src, dst), []).append(k)
+    sim.run()
+    assert arrived == sent
 
 
 def test_fifo_ordering_with_jitter():

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
+import bisect
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -337,3 +340,107 @@ def test_post_at_rejects_past():
     sim.run()
     with pytest.raises(SimulationError):
         sim.post_at(1.0, lambda: None)
+
+
+# --------------------------------------------------------------------- #
+# tombstones interleaved with pops, against an independent reference
+# --------------------------------------------------------------------- #
+class _SortedListSim:
+    """Reference event list: a plain list kept sorted by ``(time, seq)``
+    with eager removal on cancel — no heap, no tombstones, no compaction.
+    Implements just the kernel surface :func:`_timer_web` uses."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.queue = []
+        self._seq = 0
+
+    def schedule(self, delay, callback, *args):
+        entry = (self.now + delay, self._seq, callback, args)
+        self._seq += 1
+        bisect.insort(self.queue, entry, key=lambda e: e[:2])
+        return _SortedListHandle(self.queue, entry)
+
+    def run(self, until):
+        while self.queue and self.queue[0][0] <= until:
+            time, _seq, callback, args = self.queue.pop(0)
+            self.now = time
+            callback(*args)
+        self.now = max(self.now, until)
+        return self.now
+
+
+class _SortedListHandle:
+    def __init__(self, queue, entry):
+        self._queue = queue
+        self._entry = entry
+
+    def cancel(self):
+        if self._entry in self._queue:
+            self._queue.remove(self._entry)
+
+
+def _timer_web(sim, fired: list, seed: int) -> None:
+    """Self-expanding random timer web: each firing schedules 0-2 more
+    ticks, re-arms a far watchdog deadline (cancelling the previous one)
+    and sometimes cancels a pending tick, so tombstones pile up faster
+    than they are popped and interleave with live events."""
+    rng = random.Random(seed)
+    pending = []
+    state = {"budget": 600, "deadline": None}
+
+    def tick(tag: int) -> None:
+        fired.append((sim.now, tag))
+        if state["budget"] <= 0:
+            return
+        for _ in range(rng.randrange(0, 3)):
+            state["budget"] -= 1
+            pending.append(
+                sim.schedule(rng.uniform(0.1, 12.0), tick, state["budget"])
+            )
+        if state["deadline"] is not None:
+            state["deadline"].cancel()
+        state["deadline"] = sim.schedule(
+            rng.uniform(150.0, 250.0), tick, -1000 - state["budget"]
+        )
+        if pending and rng.random() < 0.2:
+            pending.pop(rng.randrange(len(pending))).cancel()
+
+    for i in range(8):
+        sim.schedule(rng.uniform(0.0, 3.0), tick, -i)
+
+
+def _run_in_slices(sim, more) -> None:
+    """Advance with ``run(until=)`` in 7 ms slices until ``more()`` is
+    false, so deadline overshoots and tombstones meet the bounded loop."""
+    t = 0.0
+    while more():
+        t += 7.0
+        assert sim.run(until=t) == t
+
+
+@pytest.mark.parametrize("seed", [5, 99, 2024])
+def test_cancelling_timer_web_matches_sorted_list_reference(seed):
+    sim = Simulator(seed=0)
+    compactions = []
+    compact = sim._compact
+
+    def counting_compact():
+        compactions.append(sim.now)
+        compact()
+
+    sim._compact = counting_compact
+    fired: list = []
+    _timer_web(sim, fired, seed)
+    _run_in_slices(sim, lambda: sim.pending)
+
+    ref = _SortedListSim()
+    expected: list = []
+    _timer_web(ref, expected, seed)
+    _run_in_slices(ref, lambda: ref.queue)
+
+    assert fired == expected
+    assert len(fired) > 600
+    assert compactions, "the web never crossed the compaction thresholds"
+    assert sim.now == ref.now
+    assert sim.cancelled_pending == 0
