@@ -42,6 +42,7 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from repro.cache import ExperimentCache
+from repro.compile import CompiledNetwork
 from repro.core import Composition, CompositionRecovery, RecoveryConfig
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import _app_cs_filter, build_platform, build_system
@@ -61,17 +62,16 @@ def _timed_run(sim: Simulator, until: float) -> float:
     return time.perf_counter() - t0
 
 
-def _build_experiment(config: ExperimentConfig):
-    """Construct a ``run_experiment``-shaped simulation, ready to run."""
+def _build_experiment(config: ExperimentConfig, network=CompiledNetwork):
+    """Construct a ``run_experiment``-shaped simulation, ready to run.
+
+    ``network=Network`` builds the interpreted reference: on a plain
+    network every peer, coordinator and application process is built
+    from its interpreted class."""
     config.validate()
     sim = Simulator(seed=config.seed)
     topology, latency = build_platform(config)
-    if config.backend == "compiled":
-        from repro.compile import CompiledNetwork
-
-        net = CompiledNetwork(sim, topology, latency, fifo=config.fifo)
-    else:
-        net = Network(sim, topology, latency, fifo=config.fifo)
+    net = network(sim, topology, latency, fifo=config.fifo)
     system = build_system(sim, net, topology, config)
     MutualExclusionChecker(sim.trace, include=_app_cs_filter(system.app_nodes))
 
@@ -94,16 +94,14 @@ def _build_experiment(config: ExperimentConfig):
         collector=collector_arg,
         on_done=app_done,
     )
-    if config.backend == "compiled":
-        from repro.compile import compile_system
-
-        compile_system(net, system, apps)
     return sim, net, apps, collector
 
 
-def _instrumented_experiment(config: ExperimentConfig) -> Dict[str, float]:
+def _instrumented_experiment(
+    config: ExperimentConfig, network=CompiledNetwork
+) -> Dict[str, float]:
     """One ``run_experiment``-shaped run that exposes kernel counters."""
-    sim, net, apps, collector = _build_experiment(config)
+    sim, net, apps, collector = _build_experiment(config, network)
     wall = _timed_run(sim, config.default_deadline())
     assert all(a.done for a in apps), "benchmark run did not complete"
     return {
@@ -115,17 +113,16 @@ def _instrumented_experiment(config: ExperimentConfig) -> Dict[str, float]:
     }
 
 
-def _digest_of(config: ExperimentConfig) -> str:
+def _digest_of(config: ExperimentConfig, network=CompiledNetwork) -> str:
     """Digest of the scenario's observable event stream.
 
     Runs an *untimed* replica: a :class:`RunDigest` subscribes to the
     ``send`` kind, which would tax the timed loop of the measured run
-    (and, on the compiled backend, tax it differently than the
-    interpreted one — the very comparison the digest is meant to
-    anchor)."""
+    (and, on the fast path, tax it differently than on the interpreted
+    reference — the very comparison the digest is meant to anchor)."""
     from repro.verify import RunDigest
 
-    sim, _net, apps, _collector = _build_experiment(config)
+    sim, _net, apps, _collector = _build_experiment(config, network)
     digest = RunDigest(sim)
     sim.run(until=config.default_deadline())
     assert all(a.done for a in apps), "digest run did not complete"
@@ -166,7 +163,7 @@ def kernel_spin(quick: bool) -> Dict[str, float]:
     }
 
 
-def _fig4_config(quick: bool, backend: str = "interpreted") -> ExperimentConfig:
+def _fig4_config(quick: bool) -> ExperimentConfig:
     apps = 6 if quick else 20
     n_cs = 15 if quick else 100
     return ExperimentConfig(
@@ -179,37 +176,39 @@ def _fig4_config(quick: bool, backend: str = "interpreted") -> ExperimentConfig:
         n_cs=n_cs,
         rho=float(9 * apps),
         seed=1,
-        backend=backend,
     )
 
 
 def fig4_composition(quick: bool) -> Dict[str, float]:
-    """The acceptance microbench: Naimi/Naimi composition, Fig. 4 set-up."""
+    """The acceptance microbench: Naimi/Naimi composition, Fig. 4 set-up,
+    on the default (fast) path ``run_experiment`` takes."""
     return _instrumented_experiment(_fig4_config(quick))
 
 
-def _fig4_backend(quick: bool, backend: str) -> Dict[str, float]:
-    """One backend leg of the tracked pair: the measured run plus the
+def _fig4_leg(quick: bool, network) -> Dict[str, float]:
+    """One leg of the tracked pair: the measured run plus the
     event-stream digest CI asserts equal across the two legs."""
-    config = _fig4_config(quick, backend)
-    result = _instrumented_experiment(config)
-    result["digest"] = _digest_of(config)
+    config = _fig4_config(quick)
+    result = _instrumented_experiment(config, network)
+    result["digest"] = _digest_of(config, network)
     return result
 
 
 def fig4_composition_interpreted(quick: bool) -> Dict[str, float]:
-    """Backend-equivalence pair, interpreted leg (same workload as
+    """Equivalence pair, interpreted leg: the reference built explicitly
+    on a plain :class:`~repro.net.Network` (same workload as
     ``fig4_composition``; carries a digest for the CI equality gate)."""
-    return _fig4_backend(quick, "interpreted")
+    return _fig4_leg(quick, Network)
 
 
 def fig4_composition_compiled(quick: bool) -> Dict[str, float]:
-    """Backend-equivalence pair, compiled leg: table-driven dispatch.
+    """Equivalence pair, compiled leg: table-driven dispatch, the path
+    ``run_experiment`` takes by default.
 
     The acceptance speedup (compiled ≥ 3x the seed kernel, toward the
     ROADMAP 10x) is read off this scenario's normalized events/s against
     the committed baseline's ``fig4_composition``."""
-    return _fig4_backend(quick, "compiled")
+    return _fig4_leg(quick, CompiledNetwork)
 
 
 def flat_suzuki(quick: bool) -> Dict[str, float]:
@@ -296,8 +295,8 @@ def _peak_rss_mb() -> float:
 def _twotier_config(n_clusters: int, apps_per_cluster: int,
                     n_cs: int) -> ExperimentConfig:
     """A fig4-style Naimi/Naimi composition on the uniform two-tier
-    platform, configured for the O(N)-memory scale-out path: compiled
-    backend, block latency tables, and the bounded collector above
+    platform, on the O(N)-memory scale-out path: the fast classes, block
+    latency tables, and the bounded collector above
     :data:`LARGE_GRID_NODES` applications."""
     n_apps = n_clusters * apps_per_cluster
     return ExperimentConfig(
@@ -310,7 +309,6 @@ def _twotier_config(n_clusters: int, apps_per_cluster: int,
         n_cs=n_cs,
         rho=float(n_apps),
         seed=1,
-        backend="compiled",
     )
 
 

@@ -44,9 +44,10 @@ from benchmarks.perf import (  # noqa: E402
     write_report,
 )
 
-#: Digest-equality gate: each pair is (interpreted leg, compiled leg);
-#: any divergence means the compiled backend is no longer bit-identical
-#: and its speedup number is meaningless.
+#: Digest-equality gate: each pair is (interpreted reference leg, built
+#: on a plain Network; compiled leg, the default fast path); any
+#: divergence means the fast path is no longer bit-identical and its
+#: speedup number is meaningless.
 DIGEST_PAIRS = (
     ("fig4_composition_interpreted", "fig4_composition_compiled"),
 )
@@ -103,7 +104,7 @@ def main(argv=None) -> int:
               f"{r['messages_per_s']:>11,.0f}  {r['wall_s']:>8.3f}")
 
     # Equivalence gate: each tracked pair carries the event-stream
-    # digest of both legs; any divergence means the compiled backend is
+    # digest of both legs; any divergence means the fast path is
     # no longer bit-identical and its speedup number is meaningless —
     # fail before writing anything else.
     for serial_name, variant_name in DIGEST_PAIRS:

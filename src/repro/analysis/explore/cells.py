@@ -12,7 +12,8 @@ Fault-free cells run under both the interpreted and the compiled
 backend and must explore the *identical* state set (order-insensitive
 fingerprint equality) — the dynamic counterpart of the static RPR009
 handler-equivalence lint.  Crash cells run interpreted only, mirroring
-``compile_system``'s refusal to promote crash-enabled runs.
+the compiled network's refusal of the fast classes on crash-enabled
+runs.
 """
 
 from __future__ import annotations

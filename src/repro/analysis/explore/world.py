@@ -62,7 +62,7 @@ Action = Tuple
 Flow = Tuple[int, int, str]
 
 _SYSTEMS = ("flat", "composition")
-_BACKENDS = ("interpreted", "compiled")
+_BACKEND_CHOICES = ("interpreted", "compiled")
 
 
 class ExplorationError(ReproError):
@@ -108,7 +108,7 @@ class ExploreScope:
     def validate(self) -> None:
         if self.system not in _SYSTEMS:
             raise ExplorationError(f"unknown system {self.system!r}")
-        if self.backend not in _BACKENDS:
+        if self.backend not in _BACKEND_CHOICES:
             raise ExplorationError(f"unknown backend {self.backend!r}")
         if self.n_clusters < 1 or self.nodes_per_cluster < 2:
             raise ExplorationError(
@@ -162,14 +162,27 @@ class ControlledTransport(Network):
     by the explorer (the interceptor is installed before the system is
     built, so no message ever reaches the latency model).
 
-    ``fast_send`` aliases the plain interpreted ``send`` so compiled
-    peers — whose ``_bind_state`` caches ``net.fast_send`` — run their
+    With ``fast=True`` it answers :meth:`fast_class` like a fast-path
+    :class:`~repro.compile.network.CompiledNetwork`, so the system is
+    built from the compiled peer and coordinator classes; ``fast_send``
+    aliases the plain interpreted ``send``, so those classes run their
     compiled handler bodies on top of the controlled schedule.  That is
     the whole point of the cross-backend check: same schedule, compiled
     state transitions, identical fingerprints required.
     """
 
     fast_send = Network.send
+
+    def __init__(self, *args, fast: bool = False, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.fast = fast
+
+    def fast_class(self, cls: type) -> type:
+        if not self.fast:
+            return cls
+        from ...compile.peers import FAST_CLASSES
+
+        return FAST_CLASSES.get(cls, cls)
 
 
 class World:
@@ -180,7 +193,10 @@ class World:
         self.scope = scope
         self.sim = Simulator(seed=0)
         self.topology = uniform_topology(scope.n_clusters, scope.nodes_per_cluster)
-        self.net = ControlledTransport(self.sim, self.topology, ConstantLatency(0.1))
+        self.net = ControlledTransport(
+            self.sim, self.topology, ConstantLatency(0.1),
+            fast=scope.backend == "compiled",
+        )
         #: pending[(src, dst, port)] -> FIFO queue of captured messages,
         #: paired with their canonical (kind, payload) form — computed
         #: once at capture so state fingerprinting is O(pending) lookups
@@ -227,8 +243,14 @@ class World:
             n: (scope.requests_per_node if n in requesters else 0)
             for n in self.app_nodes
         }
-        if scope.backend == "compiled":
-            self._promote()
+        if self.net.fast:
+            from ...compile.peers import FAST_CLASSES
+
+            fast = set(FAST_CLASSES.values())
+            if not any(type(p) in fast for p in self.peers):
+                raise ExplorationError(
+                    f"no compiled peer class for scope {scope.describe()!r}"
+                )
         self._drain()
 
     # ------------------------------------------------------------------ #
@@ -265,40 +287,6 @@ class World:
         self.peers: List[MutexPeer] = sorted(
             peers, key=lambda p: (p.port, p.node)
         )
-
-    def _promote(self) -> None:
-        """Swap every peer (and coordinator) onto the compiled fast path.
-
-        :func:`repro.compile.peers.compile_system` refuses plain networks
-        by design (it wants the fused :class:`CompiledNetwork`); the
-        explorer instead performs the same in-place ``__class__`` swap
-        over the :class:`ControlledTransport`, whose ``fast_send`` alias
-        satisfies the compiled peers' binding contract.
-        """
-        from ...compile.peers import (
-            _PEER_MAP,
-            CompiledCoordinator,
-            _rebind_callbacks,
-        )
-
-        promoted = 0
-        for peer in self.peers:
-            compiled = _PEER_MAP.get(type(peer))
-            if compiled is None:
-                continue
-            peer.__class__ = compiled
-            peer._bind_state()
-            promoted += 1
-        if promoted == 0:
-            raise ExplorationError(
-                f"no compiled peer class for scope {self.scope.describe()!r}"
-            )
-        for coord in self.coordinators:
-            coord.__class__ = CompiledCoordinator
-            _rebind_callbacks(coord.lower.on_pending_request, coord)
-            _rebind_callbacks(coord.lower.on_granted, coord)
-            _rebind_callbacks(coord.upper.on_pending_request, coord)
-            _rebind_callbacks(coord.upper.on_granted, coord)
 
     # ------------------------------------------------------------------ #
     # message capture

@@ -4,11 +4,10 @@ A cache entry is addressed by two independent components:
 
 * the **configuration key** — a canonical JSON rendering of every
   behaviour-determining :class:`~repro.experiments.config.ExperimentConfig`
-  field (the seed is a field, so it participates; fields tagged
-  ``metadata={"cache_key": False}``, such as the equivalence-gated
-  ``backend``, are excluded).  Canonical means: object keys sorted,
-  no whitespace, tuples rendered as JSON arrays, floats rendered by
-  ``repr`` (the shortest round-trip form, stable across CPython 3.x).
+  field (the seed is a field, so it participates).  Canonical means:
+  object keys sorted, no whitespace, tuples rendered as JSON arrays,
+  floats rendered by ``repr`` (the shortest round-trip form, stable
+  across CPython 3.x).
   ``tests/cache/test_keys.py`` pins the exact rendering so it cannot
   silently drift between Python versions;
 * the **code fingerprint** — a digest over the source text of every
@@ -35,6 +34,7 @@ __all__ = [
     "DIGEST_RELEVANT_PACKAGES",
     "canonical_json",
     "config_key",
+    "text_key",
     "code_fingerprint",
 ]
 
@@ -86,19 +86,9 @@ def canonical_json(config: Any) -> str:
     Field order never matters (keys are sorted), nested tuples become
     JSON arrays, and float rendering is the ``repr`` shortest round-trip
     form — so the same configuration always produces the same bytes.
-
-    Dataclass fields declaring ``metadata={"cache_key": False}`` are
-    skipped: they mark knobs that provably cannot change a run's results
-    (e.g. ``ExperimentConfig.backend``, whose equivalence the golden
-    RunDigest matrix certifies), so including them would split the key
-    space without ever changing a cached value.
     """
     if is_dataclass(config) and not isinstance(config, type):
-        payload = {
-            f.name: getattr(config, f.name)
-            for f in fields(config)
-            if f.metadata.get("cache_key", True)
-        }
+        payload = {f.name: getattr(config, f.name) for f in fields(config)}
         return _canonical(payload)
     return _canonical(config)
 
@@ -111,7 +101,12 @@ def config_key(config: Any) -> str:
     back to :func:`canonical_json`.
     """
     key_fn = getattr(config, "cache_key", None)
-    text = key_fn() if callable(key_fn) else canonical_json(config)
+    return text_key(key_fn() if callable(key_fn) else canonical_json(config))
+
+
+def text_key(text: str) -> str:
+    """SHA-256 hex digest of an already rendered canonical key text
+    (lets a caller that also stores the text render it only once)."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

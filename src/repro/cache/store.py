@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .keys import code_fingerprint, config_key
+from .keys import code_fingerprint, config_key, text_key
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -223,7 +223,9 @@ class ExperimentCache:
         return config_key(config)
 
     def path_for(self, config: Any) -> Path:
-        key = self.key_for(config)
+        return self._entry_path(self.key_for(config))
+
+    def _entry_path(self, key: str) -> Path:
         return self.root / self.fingerprint / key[:2] / f"{key}.pkl"
 
     # ------------------------------------------------------------------ #
@@ -234,7 +236,10 @@ class ExperimentCache:
         a canonical-key mismatch — deletes the entry and reports a miss,
         so callers recompute instead of failing.
         """
-        path = self.path_for(config)
+        # Render the canonical key once: it addresses the entry and
+        # guards against hash collisions below.
+        canonical = config.cache_key()
+        path = self._entry_path(text_key(canonical))
         try:
             blob = path.read_bytes()
         except OSError:
@@ -249,7 +254,7 @@ class ExperimentCache:
             self.stats.corrupt += 1
             self.stats.misses += 1
             return None
-        if stored_key != config.cache_key():
+        if stored_key != canonical:
             # Hash collision or serialization drift: never trust it.
             self._discard(path)
             self.stats.corrupt += 1
@@ -264,8 +269,9 @@ class ExperimentCache:
 
     def put(self, config: Any, result: Any) -> None:
         """Store ``result`` atomically; may trigger an LRU eviction pass."""
-        blob = canonical_dumps({"key": config.cache_key(), "result": result})
-        self.put_blob(self.fingerprint, self.key_for(config), blob)
+        canonical = config.cache_key()
+        blob = canonical_dumps({"key": canonical, "result": result})
+        self.put_blob(self.fingerprint, text_key(canonical), blob)
 
     # ------------------------------------------------------------------ #
     # raw blob access (the farm's HTTP cache proxy speaks this layer:

@@ -1,19 +1,21 @@
-"""The compiled execution backend (``ExperimentConfig.backend``).
+"""The compiled fast path every experiment run takes when it qualifies.
 
 Lowers each registered algorithm's message protocol into table-driven
-dispatch: per-kind handler tables resolved once at system build time
+dispatch: per-kind handler tables resolved once per class
 (:mod:`~repro.compile.tables`), per-peer hot state in numpy arrays
 (:mod:`~repro.compile.state`), and a network whose send→schedule→
 dispatch pipeline is fused into single frames
-(:mod:`~repro.compile.network`), with live systems promoted onto the
-fast path in place (:mod:`~repro.compile.peers`).
+(:mod:`~repro.compile.network`).  Systems built on a
+:class:`CompiledNetwork` get the fast peer, coordinator and application
+classes of :mod:`~repro.compile.peers` unless the network refuses them
+(crashes, faults, FIFO flows, send taps, non-exact types); refused runs
+execute the interpreted classes on the same network.
 
-The backend is **equivalence-gated**: a compiled run must produce a
-:class:`~repro.verify.digest.RunDigest` bit-identical to the
-interpreted run's, checked across the full golden matrix in
-``tests/properties/test_backend_equivalence.py`` and by the paired
-benchmark scenarios.  Because of that gate, ``backend`` never enters
-cache keys — both backends address the same cached result.
+The fast path is **equivalence-gated**: a run on it must produce a
+:class:`~repro.verify.digest.RunDigest` bit-identical to the same run
+on a plain :class:`~repro.net.network.Network` with the interpreted
+classes, checked across the golden matrix in
+``tests/properties/test_backend_equivalence.py``.
 """
 
 from .network import CompiledNetwork
@@ -22,6 +24,7 @@ from .peers import (
     CompiledMartinPeer,
     CompiledNaimiPeer,
     CompiledSuzukiPeer,
+    FAST_CLASSES,
     compile_system,
     compiled_peer_registry,
 )
@@ -34,6 +37,7 @@ __all__ = [
     "CompiledSuzukiPeer",
     "CompiledMartinPeer",
     "CompiledApplicationProcess",
+    "FAST_CLASSES",
     "compile_system",
     "compiled_peer_registry",
     "dispatch_table",

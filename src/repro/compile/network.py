@@ -25,7 +25,7 @@ Two tiers of fast path:
   the class table when the receiver is a pristine
   ``MutexPeer._on_message``;
 * the **ultra send** (:meth:`CompiledNetwork.fast_send`, used by the
-  promoted peer classes of :mod:`repro.compile.peers`) skips the
+  fast peer classes of :mod:`repro.compile.peers`) skips the
   Message allocation entirely: the table handler is resolved at send
   time and the scheduled event *is* the dispatch — its callback is the
   single-frame ``_fast_on_<kind>`` handler with ``(peer, src,
@@ -35,7 +35,9 @@ Anything the fast paths cannot reproduce exactly — crash controllers,
 fault injectors, per-flow FIFO, send taps, ``deliver`` subscribers,
 batched jitter, latency models with overridden ``one_way`` — falls back
 to the inherited interpreted code, which is equivalence by construction
-(it *is* the interpreted code).
+(it *is* the interpreted code).  The same rules decide, in
+:meth:`CompiledNetwork.fast_class`, whether systems built on the network
+get the fast peer, coordinator and application classes at all.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ from ..net.message import DEFAULT_MESSAGE_SIZE, Message
 from ..net.network import Network
 from ..sim.event import Event
 from ..sim.kernel import _mix64
+from ..workload.application import ApplicationProcess
+from .peers import FAST_CLASSES
 from .tables import dispatch_table, fast_table
 
 __all__ = ["CompiledNetwork"]
@@ -75,13 +79,14 @@ class _Route:
 class CompiledNetwork(Network):
     """Table-driven :class:`~repro.net.network.Network` (see module doc)."""
 
-    #: Deferred ultra-path counter buffer: ``(src, dst, port, kind,
-    #: size) -> count``, folded into MessageStats at flush time.  A dict
-    #: upsert costs marginally more than a list append per send, but the
-    #: buffer stays at the handful of distinct key tuples instead of
-    #: growing by one GC-tracked tuple per message.  Class default
-    #: ``None`` keeps the :attr:`stats` property safe while the base
-    #: constructor runs.
+    #: Deferred ultra-path counter buffer: ``(port, kind, size,
+    #: src_cluster, dst_cluster) -> count``, folded into MessageStats at
+    #: flush time; local sends use the cluster pair ``(-1, -1)``.  Every
+    #: counter MessageStats keeps depends on a send only through these
+    #: five fields, so the buffer is bounded by ports x kinds x sizes x
+    #: (C^2 + 1) keys whatever the node count.  Class default ``None``
+    #: keeps the :attr:`stats` property safe while the base constructor
+    #: runs.
     _pending_stats: Optional[dict] = None
 
     def __init__(self, *args, **kwargs) -> None:
@@ -105,19 +110,22 @@ class CompiledNetwork(Network):
         # Two inline tiers: the dense node-pair table below the 512-node
         # cap, or the O(N + C^2) cluster block table above it (same
         # float64 values, one extra index hop) — large grids no longer
-        # fall off the compiled fast path.
+        # fall off the compiled fast path.  The block tier indexes with
+        # the network topology's cluster map (shared with the deferred
+        # stats), so the model must map nodes to clusters the same way.
+        self._n_nodes = self.topology.n_nodes
+        self._cluster_of = self.topology._cluster_of
         one_way = type(latency).one_way
         self._inline_latency = one_way in (
             TwoTierLatency.one_way, MatrixLatency.one_way
-        )
+        ) and latency._cluster_of == self._cluster_of
         if not self._inline_latency:
             logger.info(
                 "latency model %s falls off the compiled inline fast "
-                "path (no stock delay table); sends go through the "
-                "interpreted one_way() per call",
+                "path (no stock delay table over this topology); sends "
+                "go through the interpreted one_way() per call",
                 type(latency).__name__,
             )
-        self._n_nodes = self.topology.n_nodes
         self._routes: Dict[Tuple[int, str], _Route] = {}
         # Ultra-path gate flags, snapshotted per tracer version so the
         # hot send pays one integer compare instead of re-testing the
@@ -130,14 +138,32 @@ class CompiledNetwork(Network):
         # construction; only the batch override is dynamic).
         if self._inline_latency:
             self._lat_table = latency._node_table
-            self._lat_cluster_of = latency._cluster_of
             self._lat_ctab = latency._cluster_table
             self._zero_jitter = latency._sigma <= 0.0
         else:
             self._lat_table = None
-            self._lat_cluster_of = None
             self._lat_ctab = None
             self._zero_jitter = True
+
+    def close(self) -> None:
+        super().close()
+        self._routes.clear()
+
+    def fast_class(self, cls: type) -> type:
+        """The exact-type fast twin of ``cls`` (see
+        :data:`~repro.compile.peers.FAST_CLASSES`), or ``cls`` itself on
+        a network that must run the interpreted pipeline: crashes,
+        faults, FIFO flows or a send tap attached before the build.  A
+        tap attached later (the observability layer's) is honoured per
+        send, by :meth:`fast_send` falling back to :meth:`send`.
+        Application processes also stay interpreted while the ``event``
+        trace kind has subscribers, which would see their timer labels.
+        """
+        if self._slow or self._send_taps:
+            return cls
+        if cls is ApplicationProcess and "event" in self.sim.trace.active_kinds:
+            return cls
+        return FAST_CLASSES.get(cls, cls)
 
     def add_send_tap(self, tap) -> None:
         super().add_send_tap(tap)
@@ -150,13 +176,13 @@ class CompiledNetwork(Network):
     # ------------------------------------------------------------------ #
     # deferred statistics
     # ------------------------------------------------------------------ #
-    # The ultra path buffers each send as one list append and applies
+    # The ultra path buffers each send as one dict upsert and applies
     # the full `MessageStats.record` arithmetic lazily: every counter is
-    # a plain sum, so replaying `n` identical sends in one step is exact.
-    # All reads go through the `stats` property, which materialises the
-    # buffer first — so any observer (including one called synchronously
-    # from a `send` trace record) sees the same values the interpreted
-    # backend would have at that instant.
+    # a plain sum, so replaying `n` equivalent sends in one step is
+    # exact.  All reads go through the `stats` property, which
+    # materialises the buffer first — so any observer (including one
+    # called synchronously from a `send` trace record) sees the same
+    # values the interpreted network would have at that instant.
     @property
     def stats(self):
         if self._pending_stats:
@@ -171,17 +197,14 @@ class CompiledNetwork(Network):
         st = self._stats_obj
         pending = self._pending_stats
         self._pending_stats = {}
-        cluster_of = st._cluster_of
-        for (src, dst, port, kind, size), n in pending.items():
+        for (port, kind, size, ci, cj), n in pending.items():
             st.total += n
             st.bytes_total += size * n
             st.by_port[port] += n
             st.by_kind[kind] += n
-            if src == dst:
+            if ci < 0:
                 st.local += n
                 continue
-            ci = cluster_of[src]
-            cj = cluster_of[dst]
             st._matrix[ci][cj] += n
             if ci == cj:
                 st.intra_cluster += n
@@ -305,7 +328,7 @@ class CompiledNetwork(Network):
         if table is not None:
             base = table[src][dst]
         else:  # large grid: O(N + C^2) cluster block table
-            cluster_of = self._lat_cluster_of
+            cluster_of = self._cluster_of
             base = self._lat_ctab[cluster_of[src]][cluster_of[dst]]
         sigma = latency._sigma
         if sigma <= 0.0:
@@ -341,7 +364,7 @@ class CompiledNetwork(Network):
             handler(msg)
 
     # ------------------------------------------------------------------ #
-    # ultra send (promoted peers only)
+    # ultra send (fast peer classes only)
     # ------------------------------------------------------------------ #
     def fast_send(
         self,
@@ -352,7 +375,7 @@ class CompiledNetwork(Network):
         payload: Optional[dict],
         size: int,
     ) -> None:
-        """Message-free send for promoted peers (single frame end to end).
+        """Message-free send for fast peers (single frame end to end).
 
         Falls back to :meth:`send` whenever an observer could tell the
         difference: taps, ``deliver`` subscribers, slow-path networks, a
@@ -364,9 +387,9 @@ class CompiledNetwork(Network):
         same counters, same trace records, same RNG consumption.
 
         The table handler is scheduled *directly* (no dispatch-time
-        re-check of the registration): only promoted peers call this
-        method, promotion is refused on systems that rewire, wrap or
-        unregister handlers mid-run (crash/recovery, adaptive), and the
+        re-check of the registration): only fast peers call this method,
+        systems that rewire or unregister handlers mid-run
+        (crash/recovery, adaptive) build interpreted classes, and the
         route cache is invalidated on every registration mutation — so
         between send and delivery the resolved handler cannot change.
         """
@@ -397,11 +420,17 @@ class CompiledNetwork(Network):
         except KeyError:
             self.send(src, dst, port, kind, payload, size)
             return
-        # No src validation here: the only callers are promoted peers
+        # No src validation here: the only callers are fast peers
         # sending from their own (validated-at-registration) node; the
         # fallback `send` above still checks for the Message path.
+        if src == dst:
+            ci = cj = -1  # local: counted apart from every cluster pair
+        else:
+            cluster_of = self._cluster_of
+            ci = cluster_of[src]
+            cj = cluster_of[dst]
         pending = self._pending_stats
-        key = (src, dst, port, kind, size)
+        key = (port, kind, size, ci, cj)
         try:
             pending[key] += 1
         except KeyError:
@@ -421,8 +450,7 @@ class CompiledNetwork(Network):
                 if table is not None:
                     base = table[src][dst]
                 else:  # large grid: cluster block table
-                    cluster_of = self._lat_cluster_of
-                    base = self._lat_ctab[cluster_of[src]][cluster_of[dst]]
+                    base = self._lat_ctab[ci][cj]
                 if self._zero_jitter:
                     due = now + base
                 else:

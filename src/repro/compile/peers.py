@@ -1,4 +1,4 @@
-"""Promoted peer classes: the algorithms, lowered onto the fast path.
+"""Fast peer classes: the algorithms, lowered onto the fast path.
 
 For each registered algorithm there is a ``Compiled*Peer`` subclass
 whose handlers are *single-frame*: they take ``(src, payload)`` directly
@@ -8,7 +8,7 @@ or numpy arrays (:mod:`repro.compile.state`), and send through
 entry points (``request_cs`` / ``release_cs``) are re-written with the
 algorithm's ``_do_request`` / ``_do_release`` inlined and the kernel
 clock read directly, and ``_on_<kind>`` remains as a thin delegate so
-Message-path deliveries (from non-promoted senders, or with ``deliver``
+Message-path deliveries (from interpreted senders, or with ``deliver``
 subscribers attached) run the very same code.
 
 Every compiled body is a line-for-line lowering of its interpreted
@@ -17,16 +17,18 @@ original: same state transitions in the same order, same
 (plain ``int`` values — numpy scalars never escape into a payload), same
 trace-emit gating.  The golden-digest equivalence matrix is the gate.
 
-Promotion (:func:`compile_system`) happens **after** the system and
-workload are built, by swapping ``__class__`` on live instances — the
-algorithms themselves stay untouched, which is the composition paper's
-own constraint (§3.1: composed algorithms need no modification) applied
-to the optimiser.  It is deliberately conservative: exact types only
-(a :class:`~repro.mutex.PriorityNaimiPeer` never matches the
-Naimi-Tréhel entry), fast-path-capable networks only, and never on a
-network with crash controllers, fault injectors, or FIFO flows — those
-runs execute the interpreted code on the compiled backend, equivalent
-by construction.
+The fast classes are chosen where the objects are built: systems and
+the workload ask their network for :meth:`~repro.net.network.Network
+.fast_class` of the class they are about to instantiate, and only a
+:class:`~repro.compile.network.CompiledNetwork` that serves the fast
+path answers with an entry of :data:`FAST_CLASSES`.  The algorithms
+themselves stay untouched, which is the composition paper's own
+constraint (§3.1: composed algorithms need no modification) applied to
+the optimiser.  The choice is deliberately conservative: exact types
+only (a :class:`~repro.mutex.PriorityNaimiPeer` never matches the
+Naimi-Tréhel entry), and never on a network with crash controllers,
+fault injectors, FIFO flows or send taps — those runs execute the
+interpreted classes, equivalent by construction.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from ..core.coordinator import Coordinator
 from ..core.states import CoordinatorState
 from ..errors import CompositionError, ConfigurationError, ProtocolError
 from ..metrics.records import CSRecord
-from ..mutex.base import MutexPeer, PeerState
+from ..mutex.base import PeerState
 from ..mutex.martin import MartinPeer
 from ..mutex.naimi_trehel import NaimiTrehelPeer
 from ..mutex.suzuki_kasami import SuzukiKasamiPeer
@@ -50,7 +52,6 @@ from ..sim.event import Event
 from ..sim.kernel import _mix64
 from ..sim.trace import TraceRecord
 from ..workload.application import ApplicationProcess
-from .network import CompiledNetwork
 from .state import ArrayMap, peer_array
 
 __all__ = [
@@ -59,13 +60,14 @@ __all__ = [
     "CompiledMartinPeer",
     "CompiledApplicationProcess",
     "CompiledCoordinator",
+    "FAST_CLASSES",
     "compiled_peer_registry",
     "compile_system",
 ]
 
 
 class _CompiledPeer:
-    """Shared lean helpers for promoted peers (first in the MRO)."""
+    """Shared lean helpers for fast peers (first in the MRO)."""
 
     #: tracer-version watermark for the cached cs_enter/cs_exit
     #: subscriber tuples below (kind subscribers + ``"*"`` subscribers,
@@ -74,16 +76,13 @@ class _CompiledPeer:
     _enter_subs: tuple = ()
     _exit_subs: tuple = ()
 
-    def _bind_state(self) -> None:
-        """Lower instance state after a ``__class__`` swap.
-
-        The base hook caches the tracer and the network's ultra-path
-        send as instance attributes: the hot methods below touch both
-        on every call, and ``self.sim.trace`` / ``self.net.fast_send``
-        are two-attribute chains each.
-        """
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # The hot methods below read the tracer on every call, and
+        # ``self.sim.trace`` is a two-attribute chain.  (The network's
+        # send is not cached the same way: a bound method per peer is
+        # one more GC-tracked object per node at set-up.)
         self._tr = self.sim.trace
-        self._fsend = self.net.fast_send
 
     def _refresh_emit(self, tr: Any) -> None:
         """Re-snapshot the cs_enter/cs_exit delivery lists.
@@ -121,8 +120,9 @@ class _CompiledPeer:
             }
             for fn in fns:
                 fn(record)
-        # No defensive tuple() copy: promoted systems never mutate the
-        # callback lists mid-run (rewiring systems are refused promotion).
+        # No defensive tuple() copy: fast systems never mutate the
+        # callback lists mid-run (rewiring systems build interpreted
+        # classes).
         for fn in self.on_granted:
             fn()
 
@@ -156,7 +156,7 @@ class CompiledNaimiPeer(_CompiledPeer, NaimiTrehelPeer):
         if self._holds_token:
             self._grant()
             return
-        self._fsend(
+        self.net.fast_send(
             self.node, self.last, self.port, "request",
             {"origin": self.node}, DEFAULT_MESSAGE_SIZE,
         )
@@ -186,7 +186,7 @@ class CompiledNaimiPeer(_CompiledPeer, NaimiTrehelPeer):
         if nxt is not None:
             self.next = None
             self._holds_token = False
-            self._fsend(
+            self.net.fast_send(
                 self.node, nxt, self.port, "token", None,
                 DEFAULT_MESSAGE_SIZE,
             )
@@ -197,7 +197,7 @@ class CompiledNaimiPeer(_CompiledPeer, NaimiTrehelPeer):
         if self.last == self.node:  # tree root
             if self._holds_token and self._state is PeerState.NO_REQ:
                 self._holds_token = False
-                self._fsend(
+                self.net.fast_send(
                     self.node, origin, self.port, "token", None,
                     DEFAULT_MESSAGE_SIZE,
                 )
@@ -211,7 +211,7 @@ class CompiledNaimiPeer(_CompiledPeer, NaimiTrehelPeer):
                 if self._holds_token:
                     self._notify_pending()
         else:
-            self._fsend(
+            self.net.fast_send(
                 self.node, self.last, self.port, "request",
                 {"origin": origin}, DEFAULT_MESSAGE_SIZE,
             )
@@ -248,8 +248,8 @@ class CompiledSuzukiPeer(_CompiledPeer, SuzukiKasamiPeer):
     interpreted dict ``repr`` byte for byte.
     """
 
-    def _bind_state(self) -> None:
-        _CompiledPeer._bind_state(self)
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         peers = self.peers
         self._index: Dict[int, int] = {p: i for i, p in enumerate(peers)}
         self._self_index = self._index[self.node]
@@ -281,7 +281,7 @@ class CompiledSuzukiPeer(_CompiledPeer, SuzukiKasamiPeer):
         i = self._self_index
         rn[i] += 1
         seq = int(rn[i])
-        node, port, fsend = self.node, self.port, self._fsend
+        node, port, fsend = self.node, self.port, self.net.fast_send
         for dst in self.peers:
             if dst != node:
                 fsend(
@@ -382,7 +382,7 @@ class CompiledSuzukiPeer(_CompiledPeer, SuzukiKasamiPeer):
             "queue": [int(j) for j in queue],
         }
         size = DEFAULT_MESSAGE_SIZE + 8 * len(peers) + 8 * len(queue)
-        self._fsend(self.node, dst, self.port, "token", payload, size)
+        self.net.fast_send(self.node, dst, self.port, "token", payload, size)
 
     def _on_request(self, msg) -> None:
         self._fast_on_request(msg.src, msg.payload)
@@ -415,7 +415,7 @@ class CompiledMartinPeer(_CompiledPeer, MartinPeer):
             return
         if len(self.peers) == 1:
             raise AssertionError("single-peer ring lost its token")
-        self._fsend(
+        self.net.fast_send(
             self.node, self.successor, self.port, "request", None,
             DEFAULT_MESSAGE_SIZE,
         )
@@ -459,7 +459,7 @@ class CompiledMartinPeer(_CompiledPeer, MartinPeer):
                 self._owe_pred = True
             else:
                 self._owe_pred = True
-                self._fsend(
+                self.net.fast_send(
                     self.node, self.successor, self.port, "request", None,
                     DEFAULT_MESSAGE_SIZE,
                 )
@@ -474,7 +474,7 @@ class CompiledMartinPeer(_CompiledPeer, MartinPeer):
     def _fast_pass_token(self) -> None:
         self._holds_token = False
         self._owe_pred = False
-        self._fsend(
+        self.net.fast_send(
             self.node, self.predecessor, self.port, "token", None,
             DEFAULT_MESSAGE_SIZE,
         )
@@ -493,30 +493,14 @@ class CompiledApplicationProcess(ApplicationProcess):
     """The α/β cycle with handle-free timers and the clock read directly.
 
     Timer labels are dropped (``post_at`` carries none), which is only
-    observable through the ``event`` trace kind — promotion is skipped
-    whenever that kind has subscribers.
-
-    Exponential think times are drawn in one vectorised batch at
-    promotion time (``_think_buf``): numpy's ``Generator`` produces the
-    bit-identical sequence for ``exponential(beta, size=n)`` as for
-    ``n`` scalar calls, and the ``"think"`` stream is private to this
-    process, so buffering ahead is unobservable.
+    observable through the ``event`` trace kind — the compiled network
+    keeps the interpreted class whenever that kind has subscribers.
     """
 
-    #: pre-drawn think times (None = fixed/zero-beta, draw per call)
-    _think_buf: Optional[List[float]] = None
-    _think_i: int = 0
-
-    def _bind_workload(self) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         # The tie salt is immutable for the run and safe to cache.
         self._ev_salt = self.sim._tie_salt
-        if self.distribution == "exponential" and self.beta > 0.0:
-            n = self.n_cs - self.completed
-            self._think_buf = (
-                self._rng.exponential(self.beta, size=n).tolist()
-                if n > 0 else []
-            )
-            self._think_i = 0
 
     def _request(self) -> None:
         sim = self.sim
@@ -577,15 +561,8 @@ class CompiledApplicationProcess(ApplicationProcess):
         self._granted_at = None
         self.completed += 1
         if self.completed < self.n_cs:
-            buf = self._think_buf
-            if buf is not None:
-                i = self._think_i
-                self._think_i = i + 1
-                think = buf[i]
-            else:
-                think = self._draw_think()
             # Inlined timer post — see _on_granted.
-            due = sim._now + think
+            due = sim._now + self._draw_think()
             seq = sim._seq
             event = Event.__new__(Event)
             event.time = due
@@ -702,7 +679,7 @@ class CompiledCoordinator(Coordinator):
 
 
 # --------------------------------------------------------------------- #
-# promotion
+# class selection
 # --------------------------------------------------------------------- #
 def compiled_peer_registry() -> List[Tuple[str, Type, Type]]:
     """``(algorithm name, interpreted class, compiled class)`` triples.
@@ -718,91 +695,39 @@ def compiled_peer_registry() -> List[Tuple[str, Type, Type]]:
     ]
 
 
-#: Exact-type promotion map: subclasses (PriorityNaimiPeer, test
-#: doubles) keep their own, possibly divergent, behaviour interpreted.
-_PEER_MAP: Dict[type, type] = {
-    base: compiled for _, base, compiled in compiled_peer_registry()
+#: Exact-type fast twins, looked up by
+#: :meth:`~repro.compile.network.CompiledNetwork.fast_class`: subclasses
+#: (PriorityNaimiPeer, test doubles) are absent, so they keep their own,
+#: possibly divergent, behaviour interpreted.
+FAST_CLASSES: Dict[type, type] = {
+    **{base: compiled for _, base, compiled in compiled_peer_registry()},
+    Coordinator: CompiledCoordinator,
+    ApplicationProcess: CompiledApplicationProcess,
 }
-
-
-def _system_peers(system: Any) -> List[MutexPeer]:
-    # Exact types only: Adaptive/Multilevel compositions re-wire
-    # instances at runtime and keep interpreted peers (they still get
-    # the fused network path).
-    from ..core.composition import Composition, FlatMutex
-
-    if type(system) is Composition:
-        peers: List[MutexPeer] = []
-        for instance in system.intra_instances:
-            peers.extend(instance)
-        peers.extend(system.inter_peers)
-        return peers
-    if type(system) is FlatMutex:
-        return list(system._app_peers.values())
-    return []
-
-
-def _system_coordinators(system: Any) -> List[Coordinator]:
-    # Same exact-type conservatism as _system_peers: adaptive and
-    # multilevel compositions rewire coordinators mid-run and keep the
-    # interpreted automaton.
-    from ..core.composition import Composition
-
-    if type(system) is Composition:
-        return [c for c in system.coordinators if type(c) is Coordinator]
-    return []
-
-
-def _rebind_callbacks(callbacks: List[Any], owner: Any) -> None:
-    """Re-point ``owner``'s bound methods at its promoted class.
-
-    A bound method freezes its ``__func__`` at creation, so callbacks
-    registered before a ``__class__`` swap would keep running the
-    interpreted bodies.  In-place replacement preserves list order
-    (callback order is observable through trace-record ordering).
-    """
-    for i, fn in enumerate(callbacks):
-        if getattr(fn, "__self__", None) is owner:
-            callbacks[i] = getattr(owner, fn.__func__.__name__)
 
 
 def compile_system(
     net: Any, system: Any = None, apps: Any = ()
 ) -> Dict[str, int]:
-    """Promote a built system onto the compiled fast path (in place).
+    """Count the parts of a built system that run on the fast classes.
 
-    Call after the system and workload are fully constructed.  Returns
-    ``{"peers": n, "apps": m}`` — zeros when the network is not a
-    fast-path-capable :class:`~repro.compile.network.CompiledNetwork`
-    (crash/fault/FIFO runs, tapped networks), in which case everything
-    keeps running interpreted on top of it, equivalent by construction.
+    Returns ``{"peers": n, "coordinators": m, "apps": k}``.  Nothing is
+    changed: the classes were chosen when the objects were built (see
+    the module docstring), so all zeros means the network refused the
+    fast path (interpreted network, crashes, faults, FIFO, send taps).
+    ``net`` is accepted for call compatibility and not consulted.
     """
-    report = {"peers": 0, "coordinators": 0, "apps": 0}
-    if not isinstance(net, CompiledNetwork) or net._slow or net._send_taps:
-        return report
-    for peer in _system_peers(system):
-        compiled = _PEER_MAP.get(type(peer))
-        if compiled is None:
-            continue
-        peer.__class__ = compiled
-        peer._bind_state()
-        report["peers"] += 1
-    for coord in _system_coordinators(system):
-        coord.__class__ = CompiledCoordinator
-        # The four automaton callbacks registered by _attach are bound
-        # methods snapshotted at construction; re-point them.
-        _rebind_callbacks(coord.lower.on_pending_request, coord)
-        _rebind_callbacks(coord.lower.on_granted, coord)
-        _rebind_callbacks(coord.upper.on_pending_request, coord)
-        _rebind_callbacks(coord.upper.on_granted, coord)
-        report["coordinators"] += 1
-    if "event" in net.sim.trace.active_kinds:
-        return report  # timer labels are observable: keep apps as-is
-    for app in apps:
-        if type(app) is not ApplicationProcess:
-            continue
-        app.__class__ = CompiledApplicationProcess
-        app._bind_workload()
-        _rebind_callbacks(app.peer.on_granted, app)
-        report["apps"] += 1
-    return report
+    fast = set(FAST_CLASSES.values())
+    peers: List[Any] = []
+    for instance in getattr(system, "intra_instances", ()):
+        peers.extend(instance)
+    peers.extend(getattr(system, "inter_peers", ()))
+    if not peers and hasattr(system, "app_nodes"):
+        peers = [system.peer_for(node) for node in system.app_nodes]
+    return {
+        "peers": sum(type(p) in fast for p in peers),
+        "coordinators": sum(
+            type(c) in fast for c in getattr(system, "coordinators", ())
+        ),
+        "apps": sum(type(a) in fast for a in apps),
+    }

@@ -50,7 +50,7 @@ class StateLayout:
 class ArrayMap:
     """A dict-compatible view over a per-peer ``int64`` array.
 
-    Promoted peers keep their state in arrays but inherit interpreted
+    Fast peers keep their state in arrays but inherit interpreted
     methods (and host external readers) that still index by peer id.
     This view makes both worlds see one store: writes land in the array
     the fast handlers read, and every read crosses the boundary as a
@@ -161,7 +161,7 @@ def capture_state(peer: Any) -> Optional["np.ndarray"]:
     """Snapshot a peer's declared hot state as one structured record.
 
     Returns ``None`` for classes that declare no ``compiled_state``.
-    Works identically on interpreted and promoted peers (dict state is
+    Works identically on interpreted and fast peers (dict state is
     read through the same declaration), so the equivalence suite can
     ``assert capture_state(a) == capture_state(b)`` across backends.
     Missing per-peer maps (a Suzuki peer not holding the token) encode

@@ -119,6 +119,13 @@ class Coordinator(Process):
         self.upper.on_pending_request.remove(self._on_upper_pending)
         self.upper.on_granted.remove(self._on_upper_granted)
 
+    def close(self) -> None:
+        """Detach from both peers and drop the gate (teardown after the
+        run): the peers' callback lists and the gate owner hold this
+        coordinator, which holds the peers."""
+        self._detach()
+        self.upper_request_gate = None
+
     # ------------------------------------------------------------------ #
     @property
     def state(self) -> CoordinatorState:

@@ -8,24 +8,16 @@ cluster, α = 10 ms, 100 critical sections per process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..mutex.registry import get_algorithm
 
-__all__ = [
-    "ExperimentConfig", "SYSTEMS", "PLATFORMS", "OBS_LEVELS", "BACKENDS",
-]
+__all__ = ["ExperimentConfig", "SYSTEMS", "PLATFORMS", "OBS_LEVELS"]
 
 SYSTEMS = ("composition", "flat", "adaptive", "multilevel")
 PLATFORMS = ("grid5000", "two-tier", "random-wan")
-#: Execution backends (see :mod:`repro.compile`): ``interpreted`` runs
-#: the algorithms exactly as written; ``compiled`` lowers the message
-#: protocol into table-driven dispatch with a fused network fast path.
-#: The two are equivalent by construction — bit-identical RunDigests —
-#: so the backend deliberately does **not** participate in cache keys.
-BACKENDS = ("interpreted", "compiled")
 #: Observability verbosity (see :mod:`repro.obs`): ``off`` attaches
 #: nothing (the hot path stays bare), ``counters`` adds cheap event
 #: counters, ``paths`` adds vector clocks + critical-path breakdown,
@@ -85,12 +77,6 @@ class ExperimentConfig:
     #: ``ExperimentResult.obs_report``.  Observation never perturbs the
     #: schedule: digests are bit-identical at every level.
     obs: str = "off"
-    #: Execution backend (one of :data:`BACKENDS`).  Excluded from the
-    #: cache key via field metadata: a compiled run produces the same
-    #: results as an interpreted one (the golden-digest equivalence
-    #: matrix gates this), so both must address the same cache entry.
-    backend: str = field(default="interpreted",
-                         metadata={"cache_key": False})
     label: str = ""
 
     # ------------------------------------------------------------------ #
@@ -132,10 +118,8 @@ class ExperimentConfig:
         Every behaviour-determining field participates (the seed
         included), keys are sorted so field order can never matter,
         nested ``hierarchy`` tuples render as JSON arrays, and floats
-        use their shortest round-trip ``repr``.  Fields tagged with
-        ``metadata={"cache_key": False}`` (the equivalence-gated
-        ``backend``) are excluded so they can never split the key
-        space.  ``tests/cache/test_keys.py`` pins the
+        use their shortest round-trip ``repr``.
+        ``tests/cache/test_keys.py`` pins the
         exact output: any drift between Python versions or refactors
         fails loudly instead of silently splitting (or, worse,
         aliasing) cache keys.
@@ -189,10 +173,6 @@ class ExperimentConfig:
         if self.obs not in OBS_LEVELS:
             raise ConfigurationError(
                 f"unknown obs level {self.obs!r}; choose from {OBS_LEVELS}"
-            )
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
 
     def describe(self) -> str:

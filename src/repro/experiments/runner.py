@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..cache.store import ExperimentCache
+from ..compile import CompiledNetwork
 from ..core.adaptive import AdaptiveComposition
 from ..core.composition import Composition, FlatMutex, MutexSystem
 from ..core.multilevel import MultilevelComposition
@@ -224,14 +225,22 @@ def _execute_experiment(
     topology, latency = build_platform(config)
     if config.batch_jitter:
         latency.enable_batched_jitter()
-    if config.backend == "compiled":
-        from ..compile import CompiledNetwork
+    # The system and workload build their fast classes on this network
+    # unless it refuses them (see CompiledNetwork.fast_class); a refused
+    # run executes the interpreted classes on it.
+    net = CompiledNetwork(sim, topology, latency, fifo=config.fifo)
+    return _run_on(config, sim, net, obs_hook)
 
-        net: Network = CompiledNetwork(
-            sim, topology, latency, fifo=config.fifo
-        )
-    else:
-        net = Network(sim, topology, latency, fifo=config.fifo)
+
+def _run_on(
+    config: ExperimentConfig,
+    sim: Simulator,
+    net: Network,
+    obs_hook: Optional[Callable[[ObservabilityLayer], None]] = None,
+) -> ExperimentResult:
+    """Build the system and workload on ``net``, run, check, aggregate,
+    then tear the world down."""
+    topology = net.topology
     system = build_system(sim, net, topology, config)
 
     # Attach after build_system (every handler registered, so the
@@ -277,14 +286,6 @@ def _execute_experiment(
         distribution=config.distribution,
         on_done=app_done,
     )
-    if config.backend == "compiled":
-        # Promote live instances onto the table-driven fast path once
-        # everything (system, observers, workload) is attached.  A no-op
-        # on runs the fast path cannot serve (crash/fault/FIFO): those
-        # execute the interpreted code, equivalent by construction.
-        from ..compile import compile_system
-
-        compile_system(net, system, apps)
     deadline = (
         config.deadline_ms
         if config.deadline_ms is not None
@@ -305,7 +306,7 @@ def _execute_experiment(
         obs_report = obs.report()
         obs.detach()
     stats = net.stats
-    return ExperimentResult(
+    result = ExperimentResult(
         config=config,
         name=system.name,
         obtaining=collector.obtaining_stats(),
@@ -320,6 +321,17 @@ def _execute_experiment(
         inter_algorithm_final=getattr(system, "inter_name", ""),
         obs_report=obs_report,
     )
+    # Break the run's reference cycles (processes <-> kernel, network
+    # and each other, through bound-method callbacks) so reference
+    # counting frees the world here.  Left to the cyclic collector, its
+    # full collections land in later runs' set-up and walk every dead
+    # world since the last one.
+    system.close()
+    for app in apps:
+        app.close()
+    net.close()
+    sim.close()
+    return result
 
 
 #: ``run_many`` routes through the warm worker pool once a seed batch

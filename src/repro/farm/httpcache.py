@@ -27,7 +27,7 @@ import urllib.request
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-from ..cache.keys import code_fingerprint, config_key
+from ..cache.keys import code_fingerprint, config_key, text_key
 from ..cache.retry import with_retries
 from ..cache.store import CacheStats, canonical_dumps
 
@@ -121,7 +121,8 @@ class HttpCache:
 
     # ------------------------------------------------------------------ #
     def get(self, config: Any) -> Optional[Any]:
-        key = self.key_for(config)
+        canonical = config.cache_key()
+        key = text_key(canonical)
         try:
             blob = with_retries(
                 lambda: self._request("GET", self._entry_url(key)),
@@ -142,7 +143,7 @@ class HttpCache:
             self.stats.corrupt += 1
             self.stats.misses += 1
             return None
-        if stored_key != config.cache_key():
+        if stored_key != canonical:
             self.stats.corrupt += 1
             self.stats.misses += 1
             return None
@@ -150,8 +151,9 @@ class HttpCache:
         return result
 
     def put(self, config: Any, result: Any) -> None:
-        key = self.key_for(config)
-        blob = canonical_dumps({"key": config.cache_key(), "result": result})
+        canonical = config.cache_key()
+        key = text_key(canonical)
+        blob = canonical_dumps({"key": canonical, "result": result})
         try:
             with_retries(
                 lambda: self._request("PUT", self._entry_url(key), blob),

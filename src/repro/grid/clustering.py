@@ -18,8 +18,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import squareform
 
 from ..errors import TopologyError
 
@@ -58,6 +56,12 @@ def derive_zones(
         return [[i] for i in range(n)]
     if n_zones == 1:
         return [list(range(n))]
+    # scipy is imported here, not with the package: it roughly doubles
+    # the interpreter's GC-tracked heap, which every full collection of
+    # every run would then scan.
+    from scipy.cluster.hierarchy import fcluster, linkage
+    from scipy.spatial.distance import squareform
+
     # Symmetrise (measured matrices are directionally noisy) and zero
     # the diagonal so it is a valid dissimilarity.
     sym = (matrix + matrix.T) / 2.0

@@ -172,6 +172,24 @@ class Network:
         later)."""
         return tuple(sorted(self._handlers))
 
+    def close(self) -> None:
+        """Unregister every handler at once (teardown after the run).
+
+        Handlers are bound methods of the processes, which hold the
+        network: a finished run would otherwise be cyclic garbage."""
+        self._handlers.clear()
+
+    def fast_class(self, cls: type) -> type:
+        """The class to instantiate for ``cls`` on this transport.
+
+        Systems and workloads ask this where they build peers,
+        coordinators and application processes.  This network has no
+        fast path and always answers ``cls``;
+        :class:`~repro.compile.network.CompiledNetwork` answers with the
+        class's fast twin when it can serve one.
+        """
+        return cls
+
     # ------------------------------------------------------------------ #
     # delivery interception (repro.analysis.explore)
     # ------------------------------------------------------------------ #

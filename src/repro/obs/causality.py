@@ -186,6 +186,8 @@ class CausalityRecorder:
         self.net.remove_send_tap(self._on_send)
         self.net.remove_register_hook(self._on_register)
         self._detach_trace()
+        # The closure holds bound methods of self: drop the cycle.
+        self._detach_trace = None
 
     # ------------------------------------------------------------------ #
     # network interposition

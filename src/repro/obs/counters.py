@@ -44,7 +44,10 @@ class ObsCounters:
 
     def detach(self) -> None:
         """Unsubscribe; the emit sites go cold again."""
-        self._detach()
+        if self._detach is not None:
+            self._detach()
+            # The closure holds bound methods of self: drop the cycle.
+            self._detach = None
 
     def _on_send(self, rec: TraceRecord) -> None:
         self.sends += 1

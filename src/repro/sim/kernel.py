@@ -351,6 +351,17 @@ class Simulator:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
 
+    def close(self) -> None:
+        """Drop every pending event and trace subscriber.
+
+        Teardown after the last run: both hold bound methods of the
+        simulated processes, which hold the kernel, so a finished world
+        would otherwise be cyclic garbage left to the cyclic collector.
+        """
+        self._heap.clear()
+        self._cancelled = 0
+        self.trace.clear()
+
     def drain_current(self) -> int:
         """Fire every event due at exactly the current instant.
 

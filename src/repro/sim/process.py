@@ -29,10 +29,14 @@ class Process:
         Stable identifier used for tracing and RNG stream derivation.
     """
 
+    #: Outstanding timer handles: a shared empty tuple until the first
+    #: :meth:`set_timer`.  Most peers never arm a timer, and a list per
+    #: process would be one more GC-tracked object per node at set-up.
+    _timers: "list[EventHandle] | tuple" = ()
+
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self._timers: list[EventHandle] = []
         self._halted = False
         self._timer_label = f"{name}.timer"  # hoisted off the set_timer path
 
@@ -62,18 +66,21 @@ class Process:
         handle = self.sim.schedule(
             delay, fn, *args, label=label or self._timer_label
         )
-        self._timers.append(handle)
+        timers = self._timers
+        if not timers:
+            timers = self._timers = []
+        timers.append(handle)
         # Opportunistically compact the tracking list so long-lived
         # processes do not accumulate dead handles.
-        if len(self._timers) > 64:
-            self._timers = [h for h in self._timers if h.active]
+        if len(timers) > 64:
+            self._timers = [h for h in timers if h.active]
         return handle
 
     def cancel_timers(self) -> None:
         """Cancel every outstanding timer of this process."""
         for handle in self._timers:
             handle.cancel()
-        self._timers.clear()
+        self._timers = ()
 
     # ------------------------------------------------------------------ #
     # crash semantics (driven by repro.net.faults.CrashController)

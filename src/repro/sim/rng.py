@@ -19,6 +19,10 @@ import hashlib
 from typing import Dict, Optional
 
 import numpy as np
+# numpy 2 loads the numpy.random subpackage lazily, on first attribute
+# access; import it with the package so that cost is not paid inside
+# the first run's set-up.
+import numpy.random  # noqa: F401
 
 __all__ = ["RngRegistry", "stable_hash"]
 

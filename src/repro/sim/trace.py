@@ -108,6 +108,11 @@ class Tracer:
         self._subs[kind].remove(fn)
         self._refresh()
 
+    def clear(self) -> None:
+        """Remove every subscriber."""
+        self._subs.clear()
+        self._refresh()
+
     def wants(self, kind: str) -> bool:
         """Whether any subscriber would receive a record of ``kind``."""
         return kind in self.active_kinds

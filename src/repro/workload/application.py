@@ -101,6 +101,12 @@ class ApplicationProcess(Process):
                 label=f"{self.name}.first",
             )
 
+    def close(self) -> None:
+        """Detach from the peer and drop the timer handles (teardown
+        after the run): both reference this process back."""
+        self.peer.on_granted.remove(self._on_granted)
+        self._timers = ()
+
     # ------------------------------------------------------------------ #
     @property
     def done(self) -> bool:

@@ -43,6 +43,7 @@ def deploy_workload(
             )
     if collector is None:
         collector = MetricsCollector()
+    app_cls = system.net.fast_class(ApplicationProcess)
     apps = []
     for node in system.app_nodes:
         cluster = system.topology.cluster_of(node)
@@ -50,7 +51,7 @@ def deploy_workload(
             rho_by_cluster.get(cluster, rho) if rho_by_cluster else rho
         )
         apps.append(
-            ApplicationProcess(
+            app_cls(
                 peer=system.peer_for(node),
                 cluster=cluster,
                 alpha_ms=alpha_ms,

@@ -47,30 +47,7 @@ class TestCanonicalJson:
         from dataclasses import fields
 
         rendered = json.loads(TINY.cache_key())
-        assert sorted(rendered) == sorted(
-            f.name for f in fields(TINY)
-            if f.metadata.get("cache_key", True)
-        )
-
-    def test_backend_is_excluded_from_the_key(self):
-        # The compiled backend is equivalence-gated (bit-identical
-        # RunDigests), so both backends must address one cache entry.
-        assert "backend" not in TINY.cache_key()
-        assert (
-            TINY.with_(backend="compiled").cache_key() == TINY.cache_key()
-        )
-
-    def test_metadata_excluded_fields_are_skipped(self):
-        from dataclasses import dataclass, field
-
-        @dataclass(frozen=True)
-        class Cfg:
-            x: int = 3
-            scratch: str = field(default="a",
-                                 metadata={"cache_key": False})
-
-        assert canonical_json(Cfg()) == '{"x":3}'
-        assert canonical_json(Cfg(scratch="b")) == '{"x":3}'
+        assert sorted(rendered) == sorted(f.name for f in fields(TINY))
 
     def test_keys_are_sorted_regardless_of_field_order(self):
         # dict insertion order must never leak into the rendering

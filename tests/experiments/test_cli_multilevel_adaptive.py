@@ -52,17 +52,24 @@ def test_cli_run_flat_ignores_inter_algorithm(capsys):
     assert code == 0
 
 
-def test_cli_run_backend_flag(capsys):
-    # --backend compiled must produce the same metrics line for line.
+def test_cli_run_matches_interpreted_reference(capsys):
+    # `run` takes the fast path; its result must equal, field for field,
+    # the interpreted reference built on a plain Network.
+    from repro.experiments import ExperimentConfig
+    from repro.experiments.export import results_to_json
+
+    from ..properties.digest_scenarios import run_reference
+
     argv = [
         "run", "--clusters", "3", "--apps", "2", "--n-cs", "4",
-        "--platform", "two-tier", "--seed", "3",
+        "--platform", "two-tier", "--seed", "3", "--json",
     ]
     assert main(argv) == 0
-    interpreted = capsys.readouterr().out
-    assert main(argv + ["--backend", "compiled"]) == 0
-    compiled = capsys.readouterr().out
-    assert compiled == interpreted
+    reference = run_reference(ExperimentConfig(
+        n_clusters=3, apps_per_cluster=2, n_cs=4, rho=6.0,
+        platform="two-tier", seed=3,
+    ))
+    assert capsys.readouterr().out == results_to_json([reference]) + "\n"
 
 
 def test_cli_run_adaptive(capsys):

@@ -63,7 +63,7 @@ def test_default_deadline_scales_with_workload():
         {"rho": 0.0},
         {"n_cs": 0},
         {"distribution": "pareto"},
-        {"backend": "jit"},
+        {"obs": "verbose"},
         {"jitter": -0.3},
     ],
 )

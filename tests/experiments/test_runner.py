@@ -135,3 +135,47 @@ def test_large_runs_use_bounded_collector(monkeypatch):
     assert bounded.obtaining.mean == pytest.approx(
         small.obtaining.mean, rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {},
+        {"system": "flat"},
+        {"system": "adaptive"},
+        {"system": "multilevel", "algorithms": ("suzuki", "naimi"),
+         "hierarchy": (0, 1, 2)},
+        {"fifo": True},
+        {"obs": "trace"},
+    ],
+    ids=["composition", "flat", "adaptive", "multilevel", "fifo", "obs"],
+)
+def test_finished_run_is_freed_without_the_cyclic_collector(
+    monkeypatch, changes
+):
+    # Processes, kernel, network and coordinators reference each other
+    # through bound-method callbacks; the run must break those cycles
+    # itself, or every full collection of later runs walks the world.
+    import gc
+    import weakref
+
+    from repro.experiments import runner
+    from repro.sim import Simulator
+
+    sims = []
+
+    class Recorded(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(weakref.ref(self))
+
+    monkeypatch.setattr(runner, "Simulator", Recorded)
+    cfg = ExperimentConfig(rho=6.0, **QUICK).with_(**changes)
+    gc.collect()
+    gc.disable()
+    try:
+        run_experiment(cfg)
+        assert len(sims) == 1
+        assert sims[0]() is None, "the run's Simulator outlived the run"
+    finally:
+        gc.enable()

@@ -43,11 +43,6 @@ class TestJobIds:
         assert a != job_id_for(CONFIGS[:-1], "fp")
         assert a != job_id_for(CONFIGS, "other-fp")
 
-    def test_backend_is_not_part_of_the_identity(self):
-        # backend is excluded from cache keys, so the job converges too
-        compiled = [c.with_(backend="compiled") for c in CONFIGS]
-        assert job_id_for(CONFIGS, "fp") == job_id_for(compiled, "fp")
-
 
 class TestChunks:
     def test_contiguous_cover(self):

@@ -1,8 +1,10 @@
 """Property: a farm sweep is indistinguishable from a single process.
 
-Random config batches, every fleet width (1, 2, 4) and both execution
-backends: :func:`run_configs_farm` must return results field-for-field
-identical to serial :func:`run_configs_cached`, in config order.  The
+Random config batches, every fleet width (1, 2, 4) and both references:
+:func:`run_configs_farm` must return results field-for-field identical
+to serial :func:`run_configs_cached` (``compiled``: the default fast
+path) and to the interpreted reference built on a plain Network
+(``interpreted``), in config order.  The
 fleets here run inline (``spawn=False``) so the property sweep stays
 fast; real subprocess fleets are exercised by the fault-injection and
 server tests.
@@ -18,6 +20,8 @@ import pytest
 from repro.cache.store import ExperimentCache, canonical_dumps
 from repro.experiments import ExperimentConfig, run_configs_cached
 from repro.farm import run_configs_farm
+
+from ..properties.digest_scenarios import run_reference
 
 BASE = ExperimentConfig(n_clusters=2, apps_per_cluster=2, n_cs=3, rho=4.0,
                         platform="two-tier")
@@ -53,11 +57,14 @@ def _assert_field_for_field(farm_results, serial_results, configs):
 def test_farm_equals_single_process(tmp_path, num_workers, backend):
     rng = random.Random(1000 * num_workers + (backend == "compiled"))
     for round_no in range(2):
-        batch = [c.with_(backend=backend) for c in _random_batch(rng)]
-        serial_cache = ExperimentCache(
-            cache_dir=tmp_path / f"serial-{round_no}"
-        )
-        serial = run_configs_cached(batch, serial_cache, max_workers=1)
+        batch = _random_batch(rng)
+        if backend == "compiled":
+            serial_cache = ExperimentCache(
+                cache_dir=tmp_path / f"serial-{round_no}"
+            )
+            serial = run_configs_cached(batch, serial_cache, max_workers=1)
+        else:
+            serial = [run_reference(c) for c in batch]
 
         report = run_configs_farm(
             batch,

@@ -112,3 +112,29 @@ def test_symmetric_synthetic_matrix_two_blocks():
                 m[i, j] = 2.0
     np.fill_diagonal(m, 0.0)
     assert derive_zones(m, 2) == [[0, 1, 2], [3, 4, 5]]
+
+
+def test_importing_the_experiments_loads_no_scipy():
+    # scipy is only needed by derive_zones; loading it with the package
+    # roughly doubles the GC-tracked heap every run's collections scan.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, repro.experiments; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -30,7 +30,7 @@ from repro.core import (
     InstanceRecovery,
     RecoveryConfig,
 )
-from repro.experiments import ExperimentConfig
+from repro.experiments import ExperimentConfig, runner
 from repro.experiments.runner import build_platform, build_system
 from repro.metrics import MetricsCollector
 from repro.mutex import get_algorithm
@@ -71,7 +71,11 @@ def fault_free_config(algo: str, system: str) -> ExperimentConfig:
 
 
 def _make_network(sim, topology, latency, backend: str, **kw):
-    """The transport for ``backend`` (same constructor signature)."""
+    """The transport for ``backend`` (same constructor signature).
+
+    Systems built on the compiled network get the fast classes unless
+    it refuses them — as it must on the crash cells; a plain Network
+    always builds the interpreted classes."""
     if backend == "compiled":
         from repro.compile import CompiledNetwork
 
@@ -79,15 +83,19 @@ def _make_network(sim, topology, latency, backend: str, **kw):
     return Network(sim, topology, latency, **kw)
 
 
-def _promote(net, system_obj, apps, backend: str):
-    """Promote onto the fast path when the compiled backend is asked for.
+def run_reference(config: ExperimentConfig):
+    """The interpreted reference for ``run_experiment(config)``.
 
-    Intentionally also called on crash cells: the promotion gate must
-    refuse them (slow-path network) and leave everything interpreted."""
-    if backend == "compiled":
-        from repro.compile import compile_system
-
-        compile_system(net, system_obj, apps)
+    The runner's own wiring, but on a plain :class:`Network`, so every
+    peer, coordinator and application process is built from its
+    interpreted class."""
+    config.validate()
+    sim = Simulator(seed=config.seed, tie_seed=config.tie_seed)
+    topology, latency = build_platform(config)
+    if config.batch_jitter:
+        latency.enable_batched_jitter()
+    net = Network(sim, topology, latency, fifo=config.fifo)
+    return runner._run_on(config, sim, net)
 
 
 def _attach_obs(sim, net, obs: str, app_nodes=None, coordinator_nodes=()):
@@ -139,7 +147,6 @@ def run_fault_free(
         distribution=config.distribution,
         on_done=app_done,
     )
-    _promote(net, system_obj, apps, backend)
     sim.run(until=config.default_deadline())
     unfinished = [a.name for a in apps if not a.done]
     assert not unfinished, f"{algo}/{system}: unfinished apps {unfinished}"
@@ -182,7 +189,9 @@ def run_crash(
             TwoTierLatency(topo, lan_ms=0.5, wan_ms=10.0, jitter=0.0),
             backend, crashes=crashes,
         )
-        cls = get_algorithm(algo).peer_class
+        # A crash network must refuse the fast class (as Composition's
+        # build does in the composition cell below).
+        cls = net.fast_class(get_algorithm(algo).peer_class)
         peers = [
             cls(sim, net, i, list(range(n)), "flat", initial_holder=0)
             for i in range(n)
@@ -194,7 +203,6 @@ def run_crash(
             metrics=MetricsCollector(),
         )
         _attach_obs(sim, net, obs, app_nodes=range(n))
-        _promote(net, None, (), backend)  # gate must refuse: crash run
         peers[0].request_cs()  # the initial holder enters synchronously
         crashes.schedule_crash(5.0, 0)
         served: list = []
@@ -221,7 +229,6 @@ def run_crash(
             app_nodes=comp.app_nodes,
             coordinator_nodes=tuple(c.node for c in comp.coordinators),
         )
-        _promote(net, comp, (), backend)  # gate must refuse: crash run
         served = []
         apps = [comp.peer_for(node) for node in comp.app_nodes]
         # The first app camps in the CS long enough for its coordinator to

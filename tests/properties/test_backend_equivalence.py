@@ -1,12 +1,14 @@
-"""Backend equivalence: compiled dispatch must be bit-identical.
+"""Backend equivalence: the fast path must be bit-identical.
 
-The compiled backend (``ExperimentConfig.backend = "compiled"``) lowers
-the message protocol onto table-driven dispatch.  Its acceptance gate is
-*behavioural invisibility*: every cell of the golden scenario matrix —
-{naimi, suzuki, martin} x {flat, composition} x {fault-free, crash} —
-plus the multilevel and adaptive systems must produce the identical
+Every experiment run builds its system on the compiled network, which
+lowers the message protocol onto table-driven dispatch whenever the run
+qualifies.  Its acceptance gate is *behavioural invisibility*: every
+cell of the golden scenario matrix — {naimi, suzuki, martin} x {flat,
+composition} x {fault-free, crash} — plus the multilevel, adaptive and
+FIFO configurations must produce the identical
 :class:`~repro.verify.digest.RunDigest` (or, for the runner-level
-systems, an identical :class:`ExperimentResult`) under both backends.
+systems, an identical :class:`ExperimentResult`) as the interpreted
+reference, built explicitly on a plain :class:`~repro.net.Network`.
 
 A property test additionally pins the scheduling invariant the fused
 send relies on: per-link FIFO — two messages on the same (src, dst)
@@ -19,13 +21,14 @@ import random
 
 import pytest
 
-from repro.compile import CompiledNetwork, compile_system
+from repro.compile import CompiledNaimiPeer, CompiledNetwork
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.mutex.naimi_trehel import NaimiTrehelPeer
 from repro.net import TwoTierLatency, uniform_topology
 from repro.sim import Simulator
 
-from .digest_scenarios import ALGOS, FAULTS, SYSTEMS, run_cell
+from .digest_scenarios import ALGOS, FAULTS, SYSTEMS, run_cell, run_reference
 
 MATRIX_CELLS = [
     (algo, system, fault)
@@ -65,9 +68,11 @@ def _result_fingerprint(result):
 
 
 def _both_backends(config):
-    interpreted = run_experiment(config.with_(backend="interpreted"))
-    compiled = run_experiment(config.with_(backend="compiled"))
-    return _result_fingerprint(interpreted), _result_fingerprint(compiled)
+    """(interpreted reference, default run_experiment path) fingerprints."""
+    return (
+        _result_fingerprint(run_reference(config)),
+        _result_fingerprint(run_experiment(config)),
+    )
 
 
 def test_multilevel_backend_equivalence():
@@ -104,7 +109,7 @@ def test_adaptive_backend_equivalence():
 
 def test_fifo_flow_backend_equivalence():
     # FIFO flows force the interpreted per-flow queue; the compiled
-    # network must refuse the ultra path and still match exactly.
+    # network must refuse the fast classes and still match exactly.
     config = ExperimentConfig(
         platform="two-tier",
         n_clusters=3,
@@ -121,9 +126,7 @@ def test_fifo_flow_backend_equivalence():
 # --------------------------------------------------------------------- #
 # per-link FIFO property of the fused dispatch
 # --------------------------------------------------------------------- #
-def _promoted_flat_naimi(n_clusters=2, nodes_per_cluster=2):
-    from repro.mutex.naimi_trehel import NaimiTrehelPeer
-
+def _fast_flat_naimi(n_clusters=2, nodes_per_cluster=2):
     sim = Simulator(seed=0)
     topo = uniform_topology(n_clusters, nodes_per_cluster)
     net = CompiledNetwork(
@@ -131,16 +134,12 @@ def _promoted_flat_naimi(n_clusters=2, nodes_per_cluster=2):
         TwoTierLatency(topo, lan_ms=0.5, wan_ms=10.0, jitter=0.0),
     )
     n = topo.n_nodes
+    cls = net.fast_class(NaimiTrehelPeer)
+    assert cls is CompiledNaimiPeer  # the probe must exercise the ultra path
     peers = [
-        NaimiTrehelPeer(sim, net, i, list(range(n)), "flat", initial_holder=0)
+        cls(sim, net, i, list(range(n)), "flat", initial_holder=0)
         for i in range(n)
     ]
-    from repro.core.composition import FlatMutex
-
-    flat = FlatMutex.__new__(FlatMutex)
-    flat._app_peers = {p.node: p for p in peers}
-    report = compile_system(net, flat, ())
-    assert report["peers"] == n  # the probe must exercise the ultra path
     return sim, net, peers
 
 
@@ -154,7 +153,7 @@ def test_compiled_dispatch_preserves_per_link_fifo(seed):
     tie-break — the invariant the fused send path must preserve.
     """
     rng = random.Random(seed)
-    sim, net, peers = _promoted_flat_naimi()
+    sim, net, peers = _fast_flat_naimi()
     links = [(0, 1), (2, 1), (3, 1), (0, 2)]
     sent = {link: [] for link in links}
     for k in range(80):
