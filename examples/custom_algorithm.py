@@ -23,7 +23,8 @@ class DirectHandoffPeer(MutexPeer):
 
     Message kinds: ``ask`` (requester -> arbiter), ``handoff``
     (arbiter -> current holder, naming the next holder), ``token``
-    (holder -> next holder).  4 messages per CS in steady state, but the
+    (holder -> next holder).  Each kind has a handler
+    ``_on_<kind>(self, src, payload)``.  4 messages per CS in steady state, but the
     token itself takes a single hop — between grid coordinators this
     costs one WAN trip where the centralized baseline pays two.
     """
@@ -62,10 +63,10 @@ class DirectHandoffPeer(MutexPeer):
             self._send(dst, "token")
 
     # -- arbiter ------------------------------------------------------- #
-    def _on_ask(self, msg) -> None:
+    def _on_ask(self, src, payload) -> None:
         if self.node != self.arbiter:
             raise ProtocolError(f"{self.name}: ask at non-arbiter")
-        self._queue.append(msg.src)
+        self._queue.append(src)
         self._dispatch()
 
     def _dispatch(self) -> None:
@@ -87,8 +88,8 @@ class DirectHandoffPeer(MutexPeer):
             self._holder = nxt
 
     # -- holders ------------------------------------------------------- #
-    def _on_handoff(self, msg) -> None:
-        nxt = msg.payload["next"]
+    def _on_handoff(self, src, payload) -> None:
+        nxt = payload["next"]
         if self._holds_token and self.state is not PeerState.CS:
             self._holds_token = False
             self._send(nxt, "token")
@@ -97,7 +98,7 @@ class DirectHandoffPeer(MutexPeer):
             if self.state is PeerState.CS:
                 self._notify_pending()
 
-    def _on_token(self, msg) -> None:
+    def _on_token(self, src, payload) -> None:
         if self._holds_token:
             raise ProtocolError(f"{self.name}: second token")
         self._holds_token = True

@@ -35,15 +35,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 __all__ = [
     "AlgorithmEffects",
     "ConformanceFinding",
-    "FastEffects",
     "SendSite",
     "STATIC_BOUNDS",
-    "check_compile_conformance",
     "check_conformance",
     "extract_algorithm_effects",
-    "extract_fast_effects",
     "find_algorithm_classes",
-    "find_compiled_classes",
 ]
 
 
@@ -343,191 +339,6 @@ def extract_algorithm_effects(path: Path, cls: ast.ClassDef) -> AlgorithmEffects
 
 
 # --------------------------------------------------------------------- #
-# compiled fast-handler extraction (repro.compile)
-# --------------------------------------------------------------------- #
-@dataclass
-class FastEffects:
-    """The extracted send graph of one compiled (fast-path) peer class.
-
-    The compiled classes hand-inline the interpreted protocol: message
-    sends go through ``self._fsend`` (a cached
-    :meth:`~repro.compile.network.CompiledNetwork.fast_send`), a bare
-    local alias ``fsend`` in broadcast loops, and ``_fast_*`` helpers.
-    The extractor recognises all three forms so the send-kind multiset of
-    every ``_fast_on_<kind>`` handler (and of the inlined ``request_cs``/
-    ``release_cs`` entry points) can be compared against the interpreted
-    protocol — the static half of the interpreted/compiled equivalence
-    gate (lint rule RPR009 and ``--conformance``).
-    """
-
-    class_name: str
-    path: str
-    #: textual base-class names (pairs the class to its interpreted peer)
-    base_names: Tuple[str, ...] = ()
-    #: message kind -> fast handler method name (``_fast_on_<kind>``)
-    handlers: Dict[str, str] = field(default_factory=dict)
-    #: entry point / fast handler -> transitively reachable send sites
-    sends: Dict[str, Tuple[SendSite, ...]] = field(default_factory=dict)
-    dynamic_sites: Tuple[SendSite, ...] = ()
-
-    @property
-    def handled_kinds(self) -> Set[str]:
-        return set(self.handlers)
-
-    def emissions(self, source: str) -> Dict[str, Tuple[int, int]]:
-        """Kind -> (flat, per_n) multiset, same shape as
-        :meth:`AlgorithmEffects.emissions`."""
-        return _emission_multiset(self.sends.get(source, ()))
-
-
-#: Fast-path send forms: positional index of the message-kind argument.
-#: All forms share ``Network.send``'s positional signature
-#: ``(src, dst, port, kind, payload, size)``.
-_FAST_KIND_INDEX = 3
-
-
-def _direct_fast_sends(fn: ast.FunctionDef) -> List[SendSite]:
-    """``self._fsend`` / bare ``fsend`` / ``self.net.fast_send`` call
-    sites in one method, with loop nesting recorded."""
-    sites: List[SendSite] = []
-
-    def is_fast_send(call: ast.Call) -> bool:
-        func = call.func
-        if isinstance(func, ast.Name):
-            return func.id == "fsend"  # local alias in broadcast loops
-        if not isinstance(func, ast.Attribute):
-            return False
-        if isinstance(func.value, ast.Name) and func.value.id == "self":
-            return func.attr == "_fsend"
-        return func.attr == "fast_send"  # self.net.fast_send(...)
-
-    def walk(node: ast.AST, in_loop: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            child_in_loop = in_loop or isinstance(
-                child, (ast.For, ast.AsyncFor, ast.While)
-            )
-            if isinstance(child, ast.Call) and is_fast_send(child):
-                kind = "<dynamic>"
-                if len(child.args) > _FAST_KIND_INDEX:
-                    arg = child.args[_FAST_KIND_INDEX]
-                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                        kind = arg.value
-                sites.append(
-                    SendSite(
-                        kind=kind,
-                        method=fn.name,
-                        line=child.lineno,
-                        broadcast=False,
-                        in_loop=child_in_loop,
-                    )
-                )
-            walk(child, child_in_loop)
-
-    walk(fn, False)
-    return sites
-
-
-def find_compiled_classes(
-    paths: Sequence[Path],
-) -> Dict[str, Tuple[Path, ast.ClassDef]]:
-    """``class_name -> (file, class node)`` for every class in ``paths``
-    that defines at least one ``_fast_on_<kind>`` handler."""
-    found: Dict[str, Tuple[Path, ast.ClassDef]] = {}
-    for path in sorted(paths):
-        try:
-            tree = ast.parse(path.read_text(), filename=str(path))
-        except SyntaxError:
-            continue
-        for node in tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if any(
-                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt.name.startswith("_fast_on_")
-                for stmt in node.body
-            ):
-                found[node.name] = (path, node)
-    return found
-
-
-def _base_names(cls: ast.ClassDef) -> Tuple[str, ...]:
-    names: List[str] = []
-    for base in cls.bases:
-        if isinstance(base, ast.Name):
-            names.append(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.append(base.attr)
-    return tuple(names)
-
-
-def extract_fast_effects(path: Path, cls: ast.ClassDef) -> FastEffects:
-    """Build the send graph of one compiled peer class.
-
-    Mirrors :func:`extract_algorithm_effects`: each seed's sends are the
-    transitive closure over direct ``self.<helper>()`` calls, with other
-    ``_fast_on_*`` / ``_on_*`` handlers excluded (message-graph edges,
-    not call-graph edges).  Seeds are the inlined ``request_cs`` /
-    ``release_cs`` entry points plus every ``_fast_on_<kind>``.
-    """
-    methods: Dict[str, ast.FunctionDef] = {
-        n.name: n
-        for n in cls.body
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    direct: Dict[str, List[SendSite]] = {
-        name: _direct_fast_sends(fn) for name, fn in methods.items()
-    }
-    calls: Dict[str, Set[str]] = {}
-    for name, fn in methods.items():
-        called: Set[str] = set()
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-            ):
-                called.add(node.func.attr)
-        calls[name] = called
-
-    def closure(seed: str) -> Tuple[SendSite, ...]:
-        sites: List[SendSite] = []
-        visited: Set[str] = set()
-        stack = [seed]
-        while stack:
-            name = stack.pop()
-            if name in visited or name not in methods:
-                continue
-            visited.add(name)
-            sites.extend(direct.get(name, ()))
-            for callee in sorted(calls.get(name, ())):
-                if callee != seed and (
-                    callee.startswith("_on_") or callee.startswith("_fast_on_")
-                ):
-                    continue  # handlers are message-graph edges
-                stack.append(callee)
-        return tuple(sorted(sites, key=lambda s: (s.line, s.kind)))
-
-    effects = FastEffects(
-        class_name=cls.name, path=str(path), base_names=_base_names(cls)
-    )
-    seeds = ["request_cs", "release_cs"] + sorted(
-        name for name in methods if name.startswith("_fast_on_")
-    )
-    dynamic: List[SendSite] = []
-    for seed in seeds:
-        if seed not in methods:
-            continue
-        sites = closure(seed)
-        effects.sends[seed] = sites
-        dynamic.extend(s for s in sites if s.kind == "<dynamic>")
-        if seed.startswith("_fast_on_"):
-            effects.handlers[seed[len("_fast_on_"):]] = seed
-    effects.dynamic_sites = tuple(dict.fromkeys(dynamic))
-    return effects
-
-
-# --------------------------------------------------------------------- #
 # conformance
 # --------------------------------------------------------------------- #
 #: Declared static worst-case envelopes ``W(n) <= bound(n)``.  These are
@@ -670,163 +481,3 @@ def _check_one(name: str, effects: AlgorithmEffects) -> Iterator[ConformanceFind
                     f"the implementation have diverged",
                 )
                 break
-
-
-# --------------------------------------------------------------------- #
-# compiled-backend conformance (repro.compile fast tables)
-# --------------------------------------------------------------------- #
-#: Compiled entry point -> the interpreted seed it inlines.
-_FAST_SEED_MAP = {"request_cs": "_do_request", "release_cs": "_do_release"}
-
-
-def _format_multiset(ms: Dict[str, Tuple[int, int]]) -> str:
-    if not ms:
-        return "{}"
-    parts = []
-    for kind in sorted(ms):
-        flat, per_n = ms[kind]
-        terms = []
-        if flat:
-            terms.append(str(flat))
-        if per_n:
-            terms.append(f"{per_n}*(n-1)")
-        parts.append(f"{kind}: {' + '.join(terms) or '0'}")
-    return "{" + ", ".join(parts) + "}"
-
-
-def check_compile_conformance(
-    compile_dir: Optional[Path] = None,
-    mutex_dir: Optional[Path] = None,
-) -> Tuple[List[ConformanceFinding], Dict[str, FastEffects]]:
-    """Static conformance of the ``repro.compile`` fast tables.
-
-    For every compiled peer class (any class defining a
-    ``_fast_on_<kind>`` handler) paired — through its base-class names —
-    with an interpreted algorithm class in ``repro.mutex``:
-
-    * **envelope closure** — every ``_fast_on_<kind>`` must correspond to
-      a kind in the interpreted algorithm's declared envelope (its
-      ``_on_<kind>`` handler set), and every envelope kind must have a
-      fast handler (no partial fast tables);
-    * **effect equivalence** — each fast handler (and each inlined
-      ``request_cs``/``release_cs`` entry point) must emit the exact
-      send-kind multiset of its interpreted counterpart;
-    * **bound conformance** — the fast send graph, substituted into the
-      algorithm's message graph, must stay within the declared
-      :data:`STATIC_BOUNDS` envelope.
-
-    A compiled class whose bases match no algorithm class is itself a
-    finding: an unpaired fast table cannot be equivalence-checked.
-    """
-    here = Path(__file__).resolve().parent.parent
-    if compile_dir is None:
-        compile_dir = here / "compile"
-    if mutex_dir is None:
-        mutex_dir = here / "mutex"
-
-    algo_classes = find_algorithm_classes(sorted(mutex_dir.glob("*.py")))
-    interp_by_class: Dict[str, Tuple[str, AlgorithmEffects]] = {}
-    for algo_name, (path, cls) in algo_classes.items():
-        interp_by_class[cls.name] = (
-            algo_name, extract_algorithm_effects(path, cls)
-        )
-
-    findings: List[ConformanceFinding] = []
-    all_fast: Dict[str, FastEffects] = {}
-    compiled = find_compiled_classes(sorted(compile_dir.glob("*.py")))
-    for cls_name, (path, cls) in sorted(compiled.items()):
-        fast = extract_fast_effects(path, cls)
-        all_fast[cls_name] = fast
-        paired = [b for b in fast.base_names if b in interp_by_class]
-        if not paired:
-            findings.append(ConformanceFinding(
-                cls_name,
-                "fast-graph",
-                f"compiled class at {path} defines fast handlers "
-                f"{sorted(fast.handled_kinds)} but none of its bases "
-                f"{list(fast.base_names)} is a known algorithm class — "
-                "the fast table cannot be equivalence-checked",
-            ))
-            continue
-        algo_name, interp = interp_by_class[paired[0]]
-        label = f"{algo_name}/{cls_name}"
-        for site in fast.dynamic_sites:
-            findings.append(ConformanceFinding(
-                label,
-                "dynamic",
-                f"non-literal message kind at {fast.path}:{site.line} "
-                f"({site.method}) — the fast send graph cannot be "
-                "verified",
-            ))
-        extra = sorted(fast.handled_kinds - interp.handled_kinds)
-        if extra:
-            findings.append(ConformanceFinding(
-                label,
-                "fast-graph",
-                f"fast-table kind(s) {extra} missing from the declared "
-                f"envelope (interpreted {interp.class_name} handles "
-                f"{sorted(interp.handled_kinds)})",
-            ))
-        missing = sorted(interp.handled_kinds - fast.handled_kinds)
-        if missing:
-            findings.append(ConformanceFinding(
-                label,
-                "fast-graph",
-                f"envelope kind(s) {missing} have no _fast_on_<kind> "
-                "handler — a partial fast table silently falls back to "
-                "interpreted dispatch",
-            ))
-        # Effect equivalence, handler by handler then entry points.
-        pairs = [
-            (fast.handlers[k], interp.handlers[k])
-            for k in sorted(fast.handled_kinds & interp.handled_kinds)
-        ]
-        for fast_seed, interp_seed in pairs + [
-            (f, i) for f, i in _FAST_SEED_MAP.items() if f in fast.sends
-        ]:
-            got = fast.emissions(fast_seed)
-            want = interp.emissions(interp_seed)
-            if got != want:
-                findings.append(ConformanceFinding(
-                    label,
-                    "fast-effect",
-                    f"{fast_seed} emits {_format_multiset(got)} but the "
-                    f"interpreted {interp_seed} emits "
-                    f"{_format_multiset(want)} — the hand-inlined fast "
-                    "path drifted from the protocol",
-                ))
-        # Bound conformance over the substituted send graph.
-        declared = STATIC_BOUNDS.get(algo_name)
-        if declared is not None:
-            synth = AlgorithmEffects(
-                class_name=cls_name, path=str(path),
-                handlers=dict(interp.handlers),
-            )
-            for seed in ("_do_request", "_do_release"):
-                fast_seed = next(
-                    (f for f, i in _FAST_SEED_MAP.items() if i == seed), seed
-                )
-                synth.sends[seed] = fast.sends.get(
-                    fast_seed, interp.sends.get(seed, ())
-                )
-            for kind, handler in interp.handlers.items():
-                fast_handler = fast.handlers.get(kind)
-                synth.sends[handler] = (
-                    fast.sends[fast_handler]
-                    if fast_handler is not None
-                    else interp.sends.get(handler, ())
-                )
-            bound_label, bound = declared
-            for n in _CHECK_SIZES:
-                w = synth.worst_case_messages(n)
-                limit = float(bound(n))  # type: ignore[operator]
-                if w > limit + 1e-9:
-                    findings.append(ConformanceFinding(
-                        label,
-                        "bound",
-                        f"compiled static worst case W({n}) = {w:g} "
-                        f"exceeds the declared envelope {bound_label} = "
-                        f"{limit:g}",
-                    ))
-                    break
-    return findings, all_fast

@@ -1,7 +1,6 @@
 """Bounded exhaustive protocol exploration (a small-scope model checker).
 
 This package drives the *real*, unmodified :mod:`repro.mutex` algorithms
-— under either the interpreted or the :mod:`repro.compile` backend —
 through a controlled scheduler that owns every message delivery and
 CS request, and exhaustively explores every admissible interleaving at
 small scope.  A sleep-set dynamic partial-order reduction prunes
@@ -17,13 +16,13 @@ three checked properties stay exact:
 
 Entry points: :func:`explore` checks one :class:`ExploreScope` cell;
 :func:`run_matrix` runs the default {naimi, suzuki, martin} x
-{flat, composition} matrix under both backends and cross-checks their
-explored-state fingerprints; :mod:`repro.analysis.explore.schedule`
+{flat, composition} matrix plus a crash cell;
+:mod:`repro.analysis.explore.schedule`
 serializes violations into replayable JSON counterexamples.  All of it
 is wired into ``python -m repro.analysis --explore``.
 """
 
-from .cells import CellResult, MatrixReport, default_cells, run_matrix
+from .cells import MatrixReport, default_cells, run_matrix
 from .explorer import ExploreReport, Violation, explore
 from .schedule import (
     ReplayStep,
@@ -37,7 +36,6 @@ from .schedule import (
 from .world import ExplorationError, ExploreScope, World
 
 __all__ = [
-    "CellResult",
     "ExplorationError",
     "ExploreReport",
     "ExploreScope",

@@ -1,4 +1,4 @@
-"""The default verification matrix and its cross-backend runner.
+"""The default verification matrix and its runner.
 
 Six fault-free cells cover {naimi, suzuki, martin} x {flat, composition}
 (composition cells run the algorithm at both levels), each at a scope
@@ -7,24 +7,17 @@ schedule enumeration while staying within a few seconds of wall clock.
 One crash cell exercises the crash-stop + recovery path (flat naimi,
 crashing the initial token holder at every possible point of the
 schedule).
-
-Fault-free cells run under both the interpreted and the compiled
-backend and must explore the *identical* state set (order-insensitive
-fingerprint equality) — the dynamic counterpart of the static RPR009
-handler-equivalence lint.  Crash cells run interpreted only, mirroring
-the compiled network's refusal of the fast classes on crash-enabled
-runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .explorer import ExploreReport, explore
 from .world import ExploreScope
 
-__all__ = ["CellResult", "MatrixReport", "default_cells", "run_matrix"]
+__all__ = ["MatrixReport", "default_cells", "run_matrix"]
 
 #: Scopes chosen so every fault-free cell is exhaustive in seconds with
 #: a reduction ratio >= 10 (measured; see docs/analysis.md).  The
@@ -34,7 +27,7 @@ _THREE = (1, 2, 4)
 
 
 def default_cells(crash: bool = True) -> List[ExploreScope]:
-    """The default model-checking matrix (backend-agnostic scopes)."""
+    """The default model-checking matrix."""
     cells = [
         ExploreScope(
             system="flat", intra="naimi",
@@ -72,39 +65,8 @@ def default_cells(crash: bool = True) -> List[ExploreScope]:
 
 
 @dataclasses.dataclass
-class CellResult:
-    """One matrix cell: interpreted run, optional compiled run, and the
-    cross-backend fingerprint verdict."""
-
-    scope: ExploreScope
-    interpreted: ExploreReport
-    compiled: Optional[ExploreReport] = None
-    #: None when the cell runs interpreted-only (crash / mutant cells)
-    backends_agree: Optional[bool] = None
-
-    @property
-    def ok(self) -> bool:
-        if not self.interpreted.ok:
-            return False
-        if self.compiled is not None:
-            return self.compiled.ok and bool(self.backends_agree)
-        return True
-
-    def to_dict(self) -> dict:
-        return {
-            "cell": self.scope.describe(),
-            "ok": self.ok,
-            "backends_agree": self.backends_agree,
-            "interpreted": self.interpreted.to_dict(),
-            "compiled": (
-                None if self.compiled is None else self.compiled.to_dict()
-            ),
-        }
-
-
-@dataclasses.dataclass
 class MatrixReport:
-    cells: List[CellResult]
+    cells: List[ExploreReport]
 
     @property
     def ok(self) -> bool:
@@ -112,12 +74,7 @@ class MatrixReport:
 
     @property
     def violations(self) -> int:
-        total = 0
-        for cell in self.cells:
-            total += len(cell.interpreted.violations)
-            if cell.compiled is not None:
-                total += len(cell.compiled.violations)
-        return total
+        return sum(len(cell.violations) for cell in self.cells)
 
     def to_dict(self) -> dict:
         return {
@@ -129,48 +86,25 @@ class MatrixReport:
 def run_matrix(
     cells: Optional[Sequence[ExploreScope]] = None,
     *,
-    backends: Sequence[str] = ("interpreted", "compiled"),
     reduce: bool = True,
     max_states: int = 250_000,
     max_transitions: int = 2_000_000,
     wall_budget_s: Optional[float] = None,
 ) -> MatrixReport:
-    """Run every cell under each applicable backend.
+    """Explore every cell.
 
     ``wall_budget_s`` bounds each individual exploration; a cell that
     exhausts it reports ``complete=False`` (and therefore fails).
     """
     if cells is None:
         cells = default_cells()
-    results: List[CellResult] = []
-    for scope in cells:
-        base = dataclasses.replace(scope, backend="interpreted")
-        kwargs: Dict = dict(
+    return MatrixReport(cells=[
+        explore(
+            scope,
             reduce=reduce,
             max_states=max_states,
             max_transitions=max_transitions,
             wall_budget_s=wall_budget_s,
         )
-        interpreted = explore(base, **kwargs)
-        compilable = (
-            "compiled" in backends
-            and scope.crash_node is None
-            and scope.peer_factory is None
-        )
-        if not compilable:
-            results.append(CellResult(scope=base, interpreted=interpreted))
-            continue
-        compiled = explore(
-            dataclasses.replace(scope, backend="compiled"), **kwargs
-        )
-        results.append(
-            CellResult(
-                scope=base,
-                interpreted=interpreted,
-                compiled=compiled,
-                backends_agree=(
-                    interpreted.state_fingerprint == compiled.state_fingerprint
-                ),
-            )
-        )
-    return MatrixReport(cells=results)
+        for scope in cells
+    ])

@@ -86,8 +86,7 @@ class ExploreReport:
     #: False when a state/transition/wall-clock bound stopped the search
     complete: bool
     violations: List[Violation]
-    #: order-insensitive digest of the explored state set; equal across
-    #: backends when interpreted and compiled semantics agree
+    #: order-insensitive digest of the explored state set
     state_fingerprint: str
     elapsed_s: float = 0.0
 

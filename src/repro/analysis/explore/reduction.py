@@ -6,8 +6,7 @@ two interleavings is executed — the other is put to sleep, because the
 state it leads to is reached (and fully explored) through the sibling
 branch.  Sleep sets prune redundant *transitions* while still visiting
 every reachable state, which keeps all reachability properties (mutual
-exclusion, deadlock-freedom) exact and makes the explored state set
-identical across backends by construction.
+exclusion, deadlock-freedom) exact.
 
 Independence is structural, derived from how the controlled world
 executes actions (:mod:`repro.analysis.explore.world`):

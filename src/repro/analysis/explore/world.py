@@ -20,10 +20,7 @@ protocol's reachable interleaving space.
 States are summarised by :meth:`World.fingerprint` — the canonical tuple
 of every peer's :meth:`~repro.mutex.base.MutexPeer.fingerprint`, every
 coordinator automaton state, the pending message queues and the remaining
-CS budgets — and hashed with :meth:`World.digest` for deduplication.  The
-fingerprint is backend-independent by construction (numpy scalars are
-canonicalised), which is what lets the explorer assert that interpreted
-and compiled backends cover the identical state set.
+CS budgets — and hashed with :meth:`World.digest` for deduplication.
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ Action = Tuple
 Flow = Tuple[int, int, str]
 
 _SYSTEMS = ("flat", "composition")
-_BACKEND_CHOICES = ("interpreted", "compiled")
 
 
 class ExplorationError(ReproError):
@@ -89,7 +85,6 @@ class ExploreScope:
     #: (None = every app node requests).  Non-requesters still relay
     #: messages; the knob tunes per-cell interleaving width.
     requesters: Optional[Tuple[int, ...]] = None
-    backend: str = "interpreted"
     #: Deliver flows in per-link FIFO order (one enabled action per
     #: flow).  Switching this off explores reorderings within a link —
     #: outside the simulator's jitter-free semantics, and incompatible
@@ -99,8 +94,8 @@ class ExploreScope:
     #: single ``("recover",)`` action becomes available afterwards.
     crash_node: Optional[int] = None
     #: Override peer construction (mutant fixtures).  Implies ``flat``
-    #: system, interpreted backend, and disables reduction + the static
-    #: send-envelope check (the mutant is invisible to static analysis).
+    #: system, and disables reduction + the static send-envelope check
+    #: (the mutant is invisible to static analysis).
     peer_factory: Optional[Callable] = None
     label: str = ""
 
@@ -108,8 +103,6 @@ class ExploreScope:
     def validate(self) -> None:
         if self.system not in _SYSTEMS:
             raise ExplorationError(f"unknown system {self.system!r}")
-        if self.backend not in _BACKEND_CHOICES:
-            raise ExplorationError(f"unknown backend {self.backend!r}")
         if self.n_clusters < 1 or self.nodes_per_cluster < 2:
             raise ExplorationError(
                 "need >= 1 cluster of >= 2 nodes (coordinator slot + app)"
@@ -119,8 +112,6 @@ class ExploreScope:
         if self.peer_factory is not None:
             if self.system != "flat":
                 raise ExplorationError("peer_factory requires system='flat'")
-            if self.backend != "interpreted":
-                raise ExplorationError("peer_factory cells run interpreted")
             if self.crash_node is not None:
                 raise ExplorationError("peer_factory cells cannot crash")
         if self.crash_node is not None and self.system != "flat":
@@ -142,7 +133,6 @@ class ExploreScope:
         tag += f":r{self.requests_per_node}"
         if self.requesters is not None:
             tag += f":q{','.join(str(n) for n in self.requesters)}"
-        tag += f":{self.backend}"
         if self.crash_node is not None:
             tag += f":crash{self.crash_node}"
         return tag
@@ -160,29 +150,7 @@ class ExploreScope:
 class ControlledTransport(Network):
     """A :class:`~repro.net.network.Network` whose deliveries are owned
     by the explorer (the interceptor is installed before the system is
-    built, so no message ever reaches the latency model).
-
-    With ``fast=True`` it answers :meth:`fast_class` like a fast-path
-    :class:`~repro.compile.network.CompiledNetwork`, so the system is
-    built from the compiled peer and coordinator classes; ``fast_send``
-    aliases the plain interpreted ``send``, so those classes run their
-    compiled handler bodies on top of the controlled schedule.  That is
-    the whole point of the cross-backend check: same schedule, compiled
-    state transitions, identical fingerprints required.
-    """
-
-    fast_send = Network.send
-
-    def __init__(self, *args, fast: bool = False, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.fast = fast
-
-    def fast_class(self, cls: type) -> type:
-        if not self.fast:
-            return cls
-        from ...compile.peers import FAST_CLASSES
-
-        return FAST_CLASSES.get(cls, cls)
+    built, so no message ever reaches the latency model)."""
 
 
 class World:
@@ -195,7 +163,6 @@ class World:
         self.topology = uniform_topology(scope.n_clusters, scope.nodes_per_cluster)
         self.net = ControlledTransport(
             self.sim, self.topology, ConstantLatency(0.1),
-            fast=scope.backend == "compiled",
         )
         #: pending[(src, dst, port)] -> FIFO queue of captured messages,
         #: paired with their canonical (kind, payload) form — computed
@@ -243,14 +210,6 @@ class World:
             n: (scope.requests_per_node if n in requesters else 0)
             for n in self.app_nodes
         }
-        if self.net.fast:
-            from ...compile.peers import FAST_CLASSES
-
-            fast = set(FAST_CLASSES.values())
-            if not any(type(p) in fast for p in self.peers):
-                raise ExplorationError(
-                    f"no compiled peer class for scope {scope.describe()!r}"
-                )
         self._drain()
 
     # ------------------------------------------------------------------ #
@@ -465,8 +424,8 @@ class World:
 
 
 def _canon(value):
-    """Canonicalise a payload/fingerprint value across backends: numpy
-    scalars become Python ints/floats, containers become sorted tuples."""
+    """Canonicalise a payload/fingerprint value: numeric subclasses
+    become Python ints/floats, containers become sorted tuples."""
     # Exact-type fast paths first: fingerprints are overwhelmingly
     # plain ints/bools/strings/tuples and this function is the hottest
     # spot of the whole exploration.

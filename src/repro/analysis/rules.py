@@ -1,4 +1,4 @@
-"""The repro-specific lint rules (RPR001-RPR009).
+"""The repro-specific lint rules (RPR001-RPR007).
 
 Each rule guards one facet of the determinism / composition-purity
 contract (see ``docs/analysis.md`` for the rationale and the suppression
@@ -19,15 +19,6 @@ RPR007    figure/suite/scalability sweeps must go through the
           cache-aware entry points — no direct
           ``run_experiment``/``run_many`` calls in
           ``repro.experiments.{figures,suites,scalability}``
-RPR008    no hand-written per-kind dispatch inside ``repro.compile`` —
-          handler resolution must come from the generated tables
-          (``dispatch_table``/``fast_table``), not string-built
-          ``getattr``, ``kind ==`` ladders or literal kind→handler maps
-RPR009    compiled-handler equivalence: every ``_fast_on_<kind>`` in
-          ``repro.compile`` must pair (via its base classes) with an
-          interpreted ``_on_<kind>`` handler and emit the identical
-          send-kind effect multiset — fast tables must not drift from
-          the interpreted protocol
 ========  ==========================================================
 
 Rules yield ``(line, col, message)`` triples; the engine attaches paths,
@@ -51,8 +42,6 @@ __all__ = [
     "CompositionPurityRule",
     "MutableDefaultRule",
     "CacheBypassRule",
-    "HandDispatchRule",
-    "FastHandlerDriftRule",
 ]
 
 Finding = Tuple[int, int, str]
@@ -598,229 +587,6 @@ class CacheBypassRule(Rule):
                 )
 
 
-# --------------------------------------------------------------------- #
-# RPR008 — hand-written dispatch in the compiled backend
-# --------------------------------------------------------------------- #
-class HandDispatchRule(Rule):
-    id = "RPR008"
-    summary = (
-        "no hand-written per-kind dispatch in repro.compile — handler "
-        "resolution must come from the generated tables (dispatch_table/"
-        "fast_table), so that table conformance checks see every route; a "
-        "string-built getattr, a kind== ladder or a literal kind→handler "
-        "map silently bypasses them"
-    )
-
-    #: the one module allowed to resolve handlers by name: it *builds*
-    #: the tables everything else must go through
-    _GENERATOR = "repro.compile.tables"
-    _HANDLER_PREFIXES = ("_on_", "_fast_on_")
-
-    def applies(self, mod: ModuleInfo) -> bool:
-        return (
-            mod.module.startswith("repro.compile")
-            and mod.module != self._GENERATOR
-        )
-
-    # -- helpers ------------------------------------------------------- #
-    def _is_handler_name_expr(self, node: ast.AST) -> bool:
-        """Whether an expression builds a handler attribute name: a
-        constant ``"_on_x"``, an f-string or ``+``-concat mentioning the
-        handler prefix."""
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value.startswith(self._HANDLER_PREFIXES)
-        if isinstance(node, ast.JoinedStr):
-            return any(
-                isinstance(part, ast.Constant)
-                and isinstance(part.value, str)
-                and "_on_" in part.value
-                for part in node.values
-            )
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-            return self._is_handler_name_expr(node.left) or (
-                self._is_handler_name_expr(node.right)
-            )
-        return False
-
-    @staticmethod
-    def _is_kind_name(node: ast.AST) -> bool:
-        return (
-            isinstance(node, ast.Name) and node.id == "kind"
-        ) or (
-            isinstance(node, ast.Attribute) and node.attr == "kind"
-        )
-
-    def _is_handler_ref(self, node: ast.AST) -> bool:
-        return isinstance(node, ast.Attribute) and node.attr.startswith(
-            self._HANDLER_PREFIXES
-        )
-
-    # -- check --------------------------------------------------------- #
-    def check(self, mod: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(mod.tree):
-            # 1. string-built handler resolution: getattr(x, f"_on_{kind}")
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "getattr"
-                and len(node.args) >= 2
-                and self._is_handler_name_expr(node.args[1])
-            ):
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    "string-built handler lookup via getattr() — resolve "
-                    "handlers through the generated dispatch_table()/"
-                    "fast_table() instead",
-                )
-            # 2. per-kind branching: if kind == "request": ...
-            elif isinstance(node, ast.Compare) and any(
-                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
-            ):
-                operands = [node.left, *node.comparators]
-                if any(self._is_kind_name(o) for o in operands) and any(
-                    isinstance(o, ast.Constant) and isinstance(o.value, str)
-                    for o in operands
-                ):
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        "per-kind string comparison — dispatch through the "
-                        "generated tables instead of a kind== ladder",
-                    )
-            # 3. hand-rolled kind→handler map: {"request": self._on_request}
-            elif isinstance(node, ast.Dict):
-                handler_entries = [
-                    (k, v)
-                    for k, v in zip(node.keys, node.values)
-                    if k is not None
-                    and isinstance(k, ast.Constant)
-                    and isinstance(k.value, str)
-                    and self._is_handler_ref(v)
-                ]
-                if handler_entries:
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        "literal kind→handler map — build dispatch maps "
-                        "with dispatch_table()/fast_table() so conformance "
-                        "checks cover them",
-                    )
-
-
-class FastHandlerDriftRule(Rule):
-    id = "RPR009"
-    summary = (
-        "compiled-handler drift: every _fast_on_<kind> must pair with an "
-        "interpreted _on_<kind> handler (via the compiled class's bases) "
-        "and emit the identical send-kind effect multiset — a fast table "
-        "that drifts from the interpreted protocol silently changes the "
-        "algorithm under the compiled backend"
-    )
-
-    #: mutex-dir path -> interpreted effects keyed by class name,
-    #: shared across the linted compile files of one tree
-    _interp_cache: Dict[str, Dict[str, object]] = {}
-
-    def applies(self, mod: ModuleInfo) -> bool:
-        return mod.module.startswith("repro.compile") and any(
-            isinstance(node, ast.ClassDef)
-            and any(
-                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt.name.startswith("_fast_on_")
-                for stmt in node.body
-            )
-            for node in mod.tree.body
-        )
-
-    def _interp_effects(self, mod: ModuleInfo) -> Dict[str, object]:
-        """Interpreted algorithm effects, keyed by class name, from the
-        ``mutex`` package sibling to this file's ``compile`` package.
-
-        Resolving relative to the linted file (rather than the installed
-        ``repro.mutex``) lets fixture trees carry their own interpreted
-        reference, and guarantees the comparison is against the sources
-        actually sitting next to the fast tables.
-        """
-        from .effects import extract_algorithm_effects, find_algorithm_classes
-
-        mutex_dir = mod.path.resolve().parent.parent / "mutex"
-        key = str(mutex_dir)
-        cached = self._interp_cache.get(key)
-        if cached is None:
-            cached = {}
-            if mutex_dir.is_dir():
-                for _algo, (path, cls) in find_algorithm_classes(
-                    sorted(mutex_dir.glob("*.py"))
-                ).items():
-                    cached[cls.name] = extract_algorithm_effects(path, cls)
-            self._interp_cache[key] = cached
-        return cached
-
-    def check(self, mod: ModuleInfo) -> Iterator[Finding]:
-        from .effects import _format_multiset, extract_fast_effects
-
-        interp_by_class = self._interp_effects(mod)
-        if not interp_by_class:
-            # No interpreted tree next to this compile package — nothing
-            # to drift from (and nothing to certify); stay silent rather
-            # than flagging every fixture that only ships fast tables.
-            return
-        for node in mod.tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            fast = extract_fast_effects(mod.path, node)
-            if not fast.handlers:
-                continue
-            paired = [b for b in fast.base_names if b in interp_by_class]
-            if not paired:
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    f"compiled class {node.name} defines fast handlers "
-                    f"{sorted(fast.handled_kinds)} but none of its bases "
-                    f"{list(fast.base_names)} is a known algorithm class "
-                    "— the fast table cannot be equivalence-checked",
-                )
-                continue
-            interp = interp_by_class[paired[0]]
-            for kind in sorted(fast.handled_kinds):
-                fast_handler = fast.handlers[kind]
-                line, col = self._handler_pos(node, fast_handler)
-                interp_handler = interp.handlers.get(kind)  # type: ignore[attr-defined]
-                if interp_handler is None:
-                    yield (
-                        line,
-                        col,
-                        f"{node.name}.{fast_handler} has no interpreted "
-                        f"_on_{kind} counterpart in "
-                        f"{interp.class_name}",  # type: ignore[attr-defined]
-                    )
-                    continue
-                got = fast.emissions(fast_handler)
-                want = interp.emissions(interp_handler)  # type: ignore[attr-defined]
-                if got != want:
-                    yield (
-                        line,
-                        col,
-                        f"{node.name}.{fast_handler} emits "
-                        f"{_format_multiset(got)} but interpreted "
-                        f"{interp.class_name}.{interp_handler} emits "  # type: ignore[attr-defined]
-                        f"{_format_multiset(want)} — send-kind effect "
-                        "multisets must be identical",
-                    )
-
-    @staticmethod
-    def _handler_pos(cls: ast.ClassDef, handler: str) -> Tuple[int, int]:
-        for stmt in cls.body:
-            if (
-                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt.name == handler
-            ):
-                return stmt.lineno, stmt.col_offset
-        return cls.lineno, cls.col_offset
-
-
 DEFAULT_RULES = (
     WallClockRule,
     StdlibRandomRule,
@@ -829,6 +595,4 @@ DEFAULT_RULES = (
     CompositionPurityRule,
     MutableDefaultRule,
     CacheBypassRule,
-    HandDispatchRule,
-    FastHandlerDriftRule,
 )

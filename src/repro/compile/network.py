@@ -1,65 +1,62 @@
 """The compiled transport: a fused send→schedule→dispatch fast path.
 
 :class:`CompiledNetwork` is a drop-in :class:`~repro.net.network.Network`
-whose hot path fuses, into one frame, what the interpreted pipeline does
-in five (``send`` → ``stats.record`` → ``latency.one_way`` →
-``_schedule_delivery`` → ``post_at``), and whose delivery dispatches
-through the per-class tables of :mod:`repro.compile.tables` instead of
-the per-event ``getattr`` chain.
+whose hot path fuses, into one frame, what the plain pipeline does in
+five (``send`` → ``stats.record`` → ``latency.one_way`` →
+``_schedule_delivery`` → ``post_at``).
 
 Equivalence is structural, not statistical: every inlined step
-reproduces the interpreted code **exactly** — same statistics counters,
-same trace records, same RNG draw sequence (local and jitter-free sends
-draw nothing, exactly as ``one_way`` skips the draw), same
-``Message.seq`` and kernel ``seq`` consumption, same tie-salt mixing —
-so a compiled run's :class:`~repro.verify.digest.RunDigest` is
-bit-identical to the interpreted run's.  The golden matrix in
-``tests/properties`` gates this.
+reproduces the plain network's code **exactly** — same statistics
+counters, same trace records, same RNG draw sequence (local and
+jitter-free sends draw nothing, exactly as ``one_way`` skips the draw),
+same ``Message.seq`` and kernel ``seq`` consumption, same tie-salt
+mixing — so a run's :class:`~repro.verify.digest.RunDigest` is
+bit-identical to the same run on a plain network.  The golden matrix and
+the digest corpus in ``tests/properties`` gate this.
 
-Two tiers of fast path:
+The network picks the route per send:
 
-* the **fused send** handles any traffic on a fault-free, FIFO-off,
-  untapped network; it still allocates the :class:`Message` so opaque
-  handlers (coordinator wrappers, recovery fences, test hooks) keep
-  working, but delivery resolves the handler once and dispatches via
-  the class table when the receiver is a pristine
-  ``MutexPeer._on_message``;
-* the **ultra send** (:meth:`CompiledNetwork.fast_send`, used by the
-  fast peer classes of :mod:`repro.compile.peers`) skips the
-  Message allocation entirely: the table handler is resolved at send
-  time and the scheduled event *is* the dispatch — its callback is the
-  single-frame ``_fast_on_<kind>`` handler with ``(peer, src,
-  payload)`` as arguments.
+* the **table route** (:meth:`CompiledNetwork.fast_send`, which every
+  :class:`~repro.mutex.base.MutexPeer` sends through) skips the Message
+  allocation entirely: the receiver's handler is looked up in its
+  class's :func:`~repro.mutex.base.handler_table` at send time and the
+  scheduled event *is* the dispatch — its callback is the
+  ``_on_<kind>`` handler with ``(peer, src, payload)`` as arguments;
+* the **fused send** (:meth:`CompiledNetwork.send`) carries any other
+  traffic on a fault-free, FIFO-off, untapped network: it allocates the
+  :class:`~repro.net.message.Message` so opaque handlers (recovery
+  fences, observability wrappers, test hooks) see it, and delivery
+  resolves the handler when the message lands.
 
-Anything the fast paths cannot reproduce exactly — crash controllers,
+Anything the fast routes cannot reproduce exactly — crash controllers,
 fault injectors, per-flow FIFO, send taps, ``deliver`` subscribers,
 batched jitter, latency models with overridden ``one_way`` — falls back
-to the inherited interpreted code, which is equivalence by construction
-(it *is* the interpreted code).  The same rules decide, in
-:meth:`CompiledNetwork.fast_class`, whether systems built on the network
-get the fast peer, coordinator and application classes at all.
+to the inherited plain code, which is equivalence by construction.
 """
 
 from __future__ import annotations
 
 import logging
 from heapq import heappush
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import NetworkError, ProtocolError
-from ..mutex.base import MutexPeer
+from ..errors import NetworkError
+from ..mutex.base import MutexPeer, handler_table
 from ..net.latency import LOCAL_DELIVERY_MS, MatrixLatency, TwoTierLatency
 from ..net.message import DEFAULT_MESSAGE_SIZE, Message
 from ..net.network import Network
 from ..sim.event import Event
 from ..sim.kernel import _mix64
-from ..workload.application import ApplicationProcess
-from .peers import FAST_CLASSES
-from .tables import dispatch_table, fast_table
 
-__all__ = ["CompiledNetwork"]
+__all__ = ["CompiledNetwork", "compile_system"]
 
 logger = logging.getLogger(__name__)
+
+
+def _dropped() -> None:
+    """Callback of a table-route delivery whose receiver unregistered in
+    flight: the delivery still fires (as the plain network's does) and
+    does nothing, like a message to a closed UDP socket."""
 
 
 class _Route:
@@ -79,7 +76,7 @@ class _Route:
 class CompiledNetwork(Network):
     """Table-driven :class:`~repro.net.network.Network` (see module doc)."""
 
-    #: Deferred ultra-path counter buffer: ``(port, kind, size,
+    #: Deferred table-route counter buffer: ``(port, kind, size,
     #: src_cluster, dst_cluster) -> count``, folded into MessageStats at
     #: flush time; local sends use the cluster pair ``(-1, -1)``.  Every
     #: counter MessageStats keeps depends on a send only through these
@@ -98,7 +95,7 @@ class CompiledNetwork(Network):
         self._ev_heap = self.sim._heap
         self._salt = self.sim._tie_salt
         #: static for the network's lifetime: crash/fault/FIFO traffic
-        #: must run the interpreted pipeline verbatim.
+        #: must run the plain pipeline verbatim.
         self._slow = (
             self.crashes is not None
             or self.faults is not None
@@ -123,16 +120,16 @@ class CompiledNetwork(Network):
             logger.info(
                 "latency model %s falls off the compiled inline fast "
                 "path (no stock delay table over this topology); sends "
-                "go through the interpreted one_way() per call",
+                "go through the model's one_way() per call",
                 type(latency).__name__,
             )
         self._routes: Dict[Tuple[int, str], _Route] = {}
-        # Ultra-path gate flags, snapshotted per tracer version so the
+        # Table-route gate flags, snapshotted per tracer version so the
         # hot send pays one integer compare instead of re-testing the
         # subscriber sets and the tap tuple on every call.  A version of
         # -1 forces a refresh (tap mutations reset it below).
         self._flags_version = -1
-        self._ultra_ok = False
+        self._table_ok = False
         self._send_active = False
         # Static latency constants (the jitter sigma is fixed at model
         # construction; only the batch override is dynamic).
@@ -149,21 +146,17 @@ class CompiledNetwork(Network):
         super().close()
         self._routes.clear()
 
-    def fast_class(self, cls: type) -> type:
-        """The exact-type fast twin of ``cls`` (see
-        :data:`~repro.compile.peers.FAST_CLASSES`), or ``cls`` itself on
-        a network that must run the interpreted pipeline: crashes,
-        faults, FIFO flows or a send tap attached before the build.  A
-        tap attached later (the observability layer's) is honoured per
-        send, by :meth:`fast_send` falling back to :meth:`send`.
-        Application processes also stay interpreted while the ``event``
-        trace kind has subscribers, which would see their timer labels.
-        """
-        if self._slow or self._send_taps:
-            return cls
-        if cls is ApplicationProcess and "event" in self.sim.trace.active_kinds:
-            return cls
-        return FAST_CLASSES.get(cls, cls)
+    def _refresh_flags(self, sim, trace) -> None:
+        """Re-derive the table-route gate for the current tracer version.
+
+        Before the kernel runs the gate stays shut and the version stays
+        stale, so every set-up send re-checks (they are few)."""
+        active = trace.active_kinds
+        self._table_ok = sim._running and not (
+            self._slow or self._send_taps or "deliver" in active
+        )
+        self._send_active = "send" in active
+        self._flags_version = trace.version if sim._running else -1
 
     def add_send_tap(self, tap) -> None:
         super().add_send_tap(tap)
@@ -176,13 +169,13 @@ class CompiledNetwork(Network):
     # ------------------------------------------------------------------ #
     # deferred statistics
     # ------------------------------------------------------------------ #
-    # The ultra path buffers each send as one dict upsert and applies
+    # The table route buffers each send as one dict upsert and applies
     # the full `MessageStats.record` arithmetic lazily: every counter is
     # a plain sum, so replaying `n` equivalent sends in one step is
     # exact.  All reads go through the `stats` property, which
     # materialises the buffer first — so any observer (including one
     # called synchronously from a `send` trace record) sees the same
-    # values the interpreted network would have at that instant.
+    # values the plain network would have at that instant.
     @property
     def stats(self):
         if self._pending_stats:
@@ -218,22 +211,55 @@ class CompiledNetwork(Network):
     # ------------------------------------------------------------------ #
     def register(self, node: int, port: str, handler) -> None:
         super().register(node, port, handler)
-        self._kill_route((node, port))
+        self._routes.pop((node, port), None)
 
     def unregister(self, node: int, port: str) -> None:
+        """Detach the handler; table-route deliveries already in flight
+        to the address become drops, exactly as the Message path drops a
+        message whose receiver is gone at delivery time."""
         super().unregister(node, port)
-        self._kill_route((node, port))
+        route = self._routes.pop((node, port), None)
+        if route is not None:
+            for event in self._in_flight(route):
+                event.callback = _dropped
+                event.args = ()
 
     def wrap_handler(self, node: int, port: str, wrap) -> None:
-        super().wrap_handler(node, port, wrap)
-        self._kill_route((node, port))
+        """Wrap the handler (see :meth:`Network.wrap_handler`).
 
-    def _kill_route(self, key: Tuple[int, str]) -> None:
-        self._routes.pop(key, None)
+        Table-route deliveries bypass handlers, so none may be in flight
+        to the address: interpose before the run starts, as the
+        observability layer does (set-up sends take the Message path), or
+        on a network that routes everything through it (crash-enabled
+        ones, as the recovery fence does)."""
+        route = self._routes.get((node, port))
+        if route is not None and any(True for _ in self._in_flight(route)):
+            raise NetworkError(
+                f"cannot wrap {(node, port)}: table-route deliveries to it "
+                "are in flight"
+            )
+        super().wrap_handler(node, port, wrap)
+        self._routes.pop((node, port), None)
+
+    def _in_flight(self, route: _Route):
+        """Pending table-route deliveries to ``route``'s peer."""
+        peer = route.peer
+        handlers = route.table.values()
+        for entry in self._ev_heap:
+            event = entry[2]
+            args = event.args
+            if (
+                len(args) == 3
+                and args[0] is peer
+                and not event.cancelled
+                and event.callback in handlers
+            ):
+                yield event
 
     def _route_for(self, dst: int, port: str) -> Optional[_Route]:
-        """The ultra-path route to ``(dst, port)``, or ``None`` when the
-        registered handler is not a pristine table-dispatchable peer."""
+        """The table route to ``(dst, port)``, or ``None`` when the
+        registered handler is not a peer's own ``_on_message`` (a wrapped
+        or foreign handler must see a Message)."""
         key = (dst, port)
         route = self._routes.get(key)
         if route is not None:
@@ -245,10 +271,7 @@ class CompiledNetwork(Network):
         ):
             return None
         peer = handler.__self__
-        table = fast_table(type(peer))
-        if table is None:
-            return None
-        route = _Route(peer, table)
+        route = _Route(peer, handler_table(type(peer)))
         self._routes[key] = route
         return route
 
@@ -352,19 +375,10 @@ class CompiledNetwork(Network):
                 "deliver", time=sim._now, src=msg.src, dst=msg.dst,
                 port=msg.port, kind=msg.kind, payload=msg.payload,
             )
-        if getattr(handler, "__func__", None) is MutexPeer._on_message:
-            peer = handler.__self__
-            fn = dispatch_table(type(peer)).get(msg.kind)
-            if fn is None:
-                raise ProtocolError(
-                    f"{peer.name}: unexpected message kind {msg.kind!r}"
-                )
-            fn(peer, msg)
-        else:
-            handler(msg)
+        handler(msg)
 
     # ------------------------------------------------------------------ #
-    # ultra send (fast peer classes only)
+    # table route
     # ------------------------------------------------------------------ #
     def fast_send(
         self,
@@ -375,37 +389,34 @@ class CompiledNetwork(Network):
         payload: Optional[dict],
         size: int,
     ) -> None:
-        """Message-free send for fast peers (single frame end to end).
+        """Message-free send (single frame end to end).
 
         Falls back to :meth:`send` whenever an observer could tell the
         difference: taps, ``deliver`` subscribers, slow-path networks, a
-        receiver that is not table-dispatchable, or a kind outside the
-        receiver's table (the Message path raises the interpreted
-        ``ProtocolError`` at delivery time, as the dynamic dispatch
-        would).  The stats/emit/latency steps below are the bodies of
+        receiver that is not a peer's own ``_on_message``, a kind outside
+        the receiver's handler table (the Message path raises the
+        ``ProtocolError`` at delivery time), or a kernel that is not
+        running — set-up sends take the Message path, so layers that
+        wrap handlers between set-up and the run (observability) see
+        them.  The stats/emit/latency steps below are the bodies of
         ``_record_inline`` / ``_delay_inline`` fused into this frame —
         same counters, same trace records, same RNG consumption.
 
-        The table handler is scheduled *directly* (no dispatch-time
-        re-check of the registration): only fast peers call this method,
-        systems that rewire or unregister handlers mid-run
-        (crash/recovery, adaptive) build interpreted classes, and the
-        route cache is invalidated on every registration mutation — so
-        between send and delivery the resolved handler cannot change.
+        The handler is scheduled *directly*, with no dispatch-time
+        re-check of the registration: the route cache is invalidated on
+        every registration mutation, :meth:`unregister` turns deliveries
+        in flight into drops, and :meth:`wrap_handler` refuses while any
+        are in flight — so between send and delivery the resolved
+        handler cannot change.
         """
         sim = self.sim
         trace = sim.trace
         if trace.version != self._flags_version:
-            self._flags_version = trace.version
-            active = trace.active_kinds
-            self._ultra_ok = not (
-                self._slow or self._send_taps or "deliver" in active
-            )
-            self._send_active = "send" in active
-        if not self._ultra_ok:
+            self._refresh_flags(sim, trace)
+        if not self._table_ok:
             self.send(src, dst, port, kind, payload, size)
             return
-        # EAFP subscripts: the route cache and the dispatch tables hit
+        # EAFP subscripts: the route cache and the handler tables hit
         # on every send after the first per address, so the exception
         # branches are cold by construction.
         try:
@@ -420,9 +431,9 @@ class CompiledNetwork(Network):
         except KeyError:
             self.send(src, dst, port, kind, payload, size)
             return
-        # No src validation here: the only callers are fast peers
-        # sending from their own (validated-at-registration) node; the
-        # fallback `send` above still checks for the Message path.
+        # No src validation here: the callers are peers sending from
+        # their own (validated-at-registration) node; the fallback
+        # `send` above still checks for the Message path.
         if src == dst:
             ci = cj = -1  # local: counted apart from every cluster pair
         else:
@@ -475,3 +486,33 @@ class CompiledNetwork(Network):
             seq = _mix64(seq ^ salt)
         heappush(self._ev_heap, (due, seq, event))
         sim._seq += 1
+
+
+def compile_system(
+    net: Any, system: Any = None, apps: Any = ()
+) -> Dict[str, int]:
+    """Count the parts of a built system that run on the fast path.
+
+    Returns ``{"peers": n, "coordinators": m, "apps": k}``: the peers
+    whose address resolves to the table route on ``net``, and — when
+    ``net`` serves that route at all — every coordinator and application
+    process (they have one implementation; they are fast when their
+    peers are).  All zeros means the network refuses the fast path
+    (plain network, crashes, faults, FIFO, send taps).  Nothing is
+    changed.
+    """
+    peers: List[Any] = []
+    for instance in getattr(system, "intra_instances", ()):
+        peers.extend(instance)
+    peers.extend(getattr(system, "inter_peers", ()))
+    if not peers and hasattr(system, "app_nodes"):
+        peers = [system.peer_for(node) for node in system.app_nodes]
+    if not isinstance(net, CompiledNetwork) or net._slow or net._send_taps:
+        return {"peers": 0, "coordinators": 0, "apps": 0}
+    return {
+        "peers": sum(
+            net._route_for(p.node, p.port) is not None for p in peers
+        ),
+        "coordinators": len(getattr(system, "coordinators", ())),
+        "apps": len(apps),
+    }

@@ -127,11 +127,8 @@ class AdaptiveComposition(MutexSystem):
         if sample_every_ms <= 0 or decide_every_samples < 1 or hysteresis < 1:
             raise CompositionError("invalid adaptive controller parameters")
         self.policy = policy if policy is not None else AdaptivePolicy()
-        # Interpreted classes: switching rewires coordinators and
-        # unregisters the old inter instance mid-run.
         self.base = Composition(
             sim, net, topology, intra=intra, inter=initial_inter,
-            fast_path=False,
         )
         if not get_algorithm(initial_inter).token_based:
             raise CompositionError(

@@ -95,11 +95,6 @@ class Composition(MutexSystem):
         process, so it can take over as coordinator without first
         draining an application workload.  Default 0 — no node is
         reserved and the composition behaves exactly as before.
-    fast_path:
-        Build the network's fast peer and coordinator classes where it
-        offers them (:meth:`~repro.net.network.Network.fast_class`;
-        results are identical either way).  Systems that rewire the
-        composition mid-run pass ``False``.
     """
 
     def __init__(
@@ -111,18 +106,12 @@ class Composition(MutexSystem):
         inter: str = "naimi",
         inter_initial_cluster: int = 0,
         standbys: int = 0,
-        fast_path: bool = True,
     ) -> None:
         super().__init__(sim, net, topology)
         self.intra_name = get_algorithm(intra).name
         self.inter_name = get_algorithm(inter).name
         intra_cls = get_algorithm(intra).peer_class
         inter_cls = get_algorithm(inter).peer_class
-        coord_cls = Coordinator
-        if fast_path:
-            intra_cls = net.fast_class(intra_cls)
-            inter_cls = net.fast_class(inter_cls)
-            coord_cls = net.fast_class(coord_cls)
         if not 0 <= inter_initial_cluster < topology.n_clusters:
             raise CompositionError(
                 f"inter_initial_cluster {inter_initial_cluster} out of range"
@@ -172,7 +161,7 @@ class Composition(MutexSystem):
             for node in coord_nodes
         ]
         self.coordinators: List[Coordinator] = [
-            coord_cls(sim, lower, upper)
+            Coordinator(sim, lower, upper)
             for lower, upper in zip(coord_lower, self.inter_peers)
         ]
 
@@ -228,7 +217,7 @@ class FlatMutex(MutexSystem):
         super().__init__(sim, net, topology)
         if peer_factory is None:
             self.algorithm_name = get_algorithm(algorithm).name
-            peer_factory = net.fast_class(get_algorithm(algorithm).peer_class)
+            peer_factory = get_algorithm(algorithm).peer_class
         else:
             self.algorithm_name = name or algorithm
         app_list: List[int] = []

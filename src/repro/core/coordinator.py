@@ -41,6 +41,19 @@ from .states import CoordinatorState
 
 __all__ = ["Coordinator"]
 
+# Module-level automaton state handles: the four event handlers test and
+# assign these on every CS cycle, and a global load is cheaper than the
+# class-attribute chain ``CoordinatorState.IN`` (two dict lookups).
+_STARTING = CoordinatorState.STARTING
+_OUT = CoordinatorState.OUT
+_WAIT_FOR_IN = CoordinatorState.WAIT_FOR_IN
+_IN = CoordinatorState.IN
+_WAIT_FOR_OUT = CoordinatorState.WAIT_FOR_OUT
+_OUT_I = _OUT.index
+_WAIT_FOR_IN_I = _WAIT_FOR_IN.index
+_IN_I = _IN.index
+_WAIT_FOR_OUT_I = _WAIT_FOR_OUT.index
+
 
 class Coordinator(Process):
     """Hybrid process bridging a lower and an upper mutex instance.
@@ -148,22 +161,34 @@ class Coordinator(Process):
         # the safety checker), which had every benchmarked run paying for
         # ~2 state-change records per CS that nobody consumed.
         if "coordinator_state" in self._trace.active_kinds:
-            self._trace.emit(
-                "coordinator_state",
-                time=self.now,
-                node=self.node,
-                state=state.value,
-            )
+            self._emit_state(state)
+
+    def _emit_state(self, state: CoordinatorState) -> None:
+        self._trace.emit(
+            "coordinator_state",
+            time=self.now,
+            node=self.node,
+            state=state.value,
+        )
 
     # ------------------------------------------------------------------ #
     # automaton transitions
     # ------------------------------------------------------------------ #
+    # The four handlers run on every CS cycle, so each transition is
+    # written out in place (what `_enter` and `_request_upper` do, without
+    # their frames); the cold paths below use the helpers.
     def _on_lower_pending(self) -> None:
         """An application process (or lower-level coordinator) wants the
         CS while we hold the lower token."""
-        if self._state is CoordinatorState.OUT:
-            self._enter(CoordinatorState.WAIT_FOR_IN)
-            self._request_upper()  # Fig 2 line 9
+        if self._state is _OUT:
+            self._state = _WAIT_FOR_IN
+            self._transitions[_WAIT_FOR_IN_I] += 1
+            if "coordinator_state" in self._trace.active_kinds:
+                self._emit_state(_WAIT_FOR_IN)
+            gate = self.upper_request_gate
+            if gate is not None and gate(self):
+                return
+            self.upper.request_cs()  # Fig 2 line 9
         # STARTING: the request stays queued in the lower instance and is
         # re-examined via has_pending_request when we reach OUT.
         # WAIT_FOR_IN: the upper request is already out — nothing to do.
@@ -172,22 +197,31 @@ class Coordinator(Process):
 
     def _on_upper_granted(self) -> None:
         """The inter token arrived: let the cluster in."""
-        if self._state is not CoordinatorState.WAIT_FOR_IN:
+        if self._state is not _WAIT_FOR_IN:
             raise CompositionError(
                 f"{self.name}: upper CS granted in state {self._state}"
             )
-        self._enter(CoordinatorState.IN)
+        self._state = _IN
+        self._transitions[_IN_I] += 1
+        if "coordinator_state" in self._trace.active_kinds:
+            self._emit_state(_IN)
         self.lower.release_cs()  # Fig 2 line 11: intra token to the apps
         # A remote request may have travelled *with* the token (e.g. in
         # Suzuki-Kasami's queue) or arrived while we were waiting.
         if self.upper.has_pending_request:
-            self._enter(CoordinatorState.WAIT_FOR_OUT)
+            self._state = _WAIT_FOR_OUT
+            self._transitions[_WAIT_FOR_OUT_I] += 1
+            if "coordinator_state" in self._trace.active_kinds:
+                self._emit_state(_WAIT_FOR_OUT)
             self.lower.request_cs()
 
     def _on_upper_pending(self) -> None:
         """Another coordinator wants the inter token we hold."""
-        if self._state is CoordinatorState.IN:
-            self._enter(CoordinatorState.WAIT_FOR_OUT)
+        if self._state is _IN:
+            self._state = _WAIT_FOR_OUT
+            self._transitions[_WAIT_FOR_OUT_I] += 1
+            if "coordinator_state" in self._trace.active_kinds:
+                self._emit_state(_WAIT_FOR_OUT)
             self.lower.request_cs()  # Fig 2 line 16
         # WAIT_FOR_OUT: already re-acquiring — nothing to do.
         # OUT: the upper peer idle-holds the token and grants without our
@@ -195,24 +229,33 @@ class Coordinator(Process):
 
     def _on_lower_granted(self) -> None:
         """We (re-)obtained the lower token."""
-        if self._state is CoordinatorState.STARTING:
+        if self._state is _STARTING:
             # Startup acquisition completed.
             self._enter(CoordinatorState.OUT)
             if self.lower.has_pending_request:
                 self._enter(CoordinatorState.WAIT_FOR_IN)
                 self._request_upper()
             return
-        if self._state is not CoordinatorState.WAIT_FOR_OUT:
+        if self._state is not _WAIT_FOR_OUT:
             raise CompositionError(
                 f"{self.name}: lower CS granted in state {self._state}"
             )
-        self._enter(CoordinatorState.OUT)
+        self._state = _OUT
+        self._transitions[_OUT_I] += 1
+        if "coordinator_state" in self._trace.active_kinds:
+            self._emit_state(_OUT)
         self.upper.release_cs()  # Fig 2 line 18: inter token moves on
         # Local requests that queued up while we were re-acquiring the
         # lower token must restart the cycle.
         if self.lower.has_pending_request:
-            self._enter(CoordinatorState.WAIT_FOR_IN)
-            self._request_upper()
+            self._state = _WAIT_FOR_IN
+            self._transitions[_WAIT_FOR_IN_I] += 1
+            if "coordinator_state" in self._trace.active_kinds:
+                self._emit_state(_WAIT_FOR_IN)
+            gate = self.upper_request_gate
+            if gate is not None and gate(self):
+                return
+            self.upper.request_cs()
 
     def _request_upper(self) -> None:
         """Issue the upper-level CS request, unless a reconfiguration

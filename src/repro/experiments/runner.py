@@ -225,9 +225,8 @@ def _execute_experiment(
     topology, latency = build_platform(config)
     if config.batch_jitter:
         latency.enable_batched_jitter()
-    # The system and workload build their fast classes on this network
-    # unless it refuses them (see CompiledNetwork.fast_class); a refused
-    # run executes the interpreted classes on it.
+    # The compiled network picks the route per send: the table route
+    # when it can serve it, the plain pipeline otherwise.
     net = CompiledNetwork(sim, topology, latency, fifo=config.fifo)
     return _run_on(config, sim, net, obs_hook)
 

@@ -28,15 +28,16 @@ from __future__ import annotations
 
 import enum
 from abc import abstractmethod
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..errors import ProtocolError
 from ..net.message import DEFAULT_MESSAGE_SIZE, Message
 from ..net.network import Network
 from ..sim.kernel import Simulator
 from ..sim.process import Process
+from ..sim.trace import TraceRecord, Tracer
 
-__all__ = ["PeerState", "MutexPeer"]
+__all__ = ["PeerState", "MutexPeer", "handler_table"]
 
 #: Identity memo of already-validated peer tuples: ``id(tuple) ->
 #: tuple``.  The strong reference pins the id for the memo's lifetime,
@@ -76,6 +77,23 @@ class PeerState(enum.Enum):
     CS = "CS"
 
 
+#: A trace subscriber, as cached for the cs_enter/cs_exit emits.
+_Subscriber = Callable[[TraceRecord], None]
+
+
+def handler_table(cls: "Type[MutexPeer]") -> Dict[str, Callable[..., None]]:
+    """``{kind: unbound _on_<kind> handler}`` of a peer class.
+
+    Built once per class, when the class is created, from every
+    ``_on_<kind>`` attribute reachable on it (inherited ones included;
+    the dispatcher ``_on_message`` is not a kind).  Both delivery routes
+    use it: :meth:`MutexPeer._on_message` on the
+    :class:`~repro.net.message.Message` path, and the compiled network's
+    table route, which schedules the handler itself.
+    """
+    return cls._kind_handlers
+
+
 class MutexPeer(Process):
     """One participant in a distributed mutual exclusion algorithm.
 
@@ -96,7 +114,31 @@ class MutexPeer(Process):
     initial_holder:
         The peer initially holding the token (or, for permission-based
         algorithms, the notional favourite).  Defaults to ``peers[0]``.
+
+    Message handlers are methods ``_on_<kind>(self, src, payload)``:
+    ``src`` is the sending node and ``payload`` the dict the sender
+    passed (``None`` or ``{}`` when it passed none).  Subclasses send
+    with :meth:`_send` / :meth:`_broadcast`.
     """
+
+    #: ``{kind: handler}`` of this class (see :func:`handler_table`)
+    _kind_handlers: Dict[str, Callable[..., None]] = {}
+    #: tracer-version watermark for the cached cs_enter/cs_exit
+    #: subscriber tuples below (kind subscribers + ``"*"`` subscribers,
+    #: concatenated in emit's delivery order)
+    _emit_version: int = -1
+    _enter_subs: Tuple[_Subscriber, ...] = ()
+    _exit_subs: Tuple[_Subscriber, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._kind_handlers = {
+            name[len("_on_"):]: getattr(cls, name)
+            for name in dir(cls)
+            if name.startswith("_on_")
+            and name != "_on_message"
+            and callable(getattr(cls, name))
+        }
 
     def __init__(
         self,
@@ -165,11 +207,9 @@ class MutexPeer(Process):
 
         Used by the bounded model checker (:mod:`repro.analysis.explore`)
         to deduplicate explored global states.  The snapshot must be a
-        pure function of protocol state — backend-independent (the
-        interpreted and compiled implementations of one algorithm must
-        fingerprint identically) and free of kernel/transport artefacts
-        such as timestamps or sequence numbers.  Reading it never mutates
-        anything.
+        pure function of protocol state, free of kernel/transport
+        artefacts such as timestamps or sequence numbers.  Reading it
+        never mutates anything.
         """
         return (
             self.algorithm_name,
@@ -184,8 +224,7 @@ class MutexPeer(Process):
         Subclasses return a flat tuple of hashable values covering every
         protocol variable that influences future behaviour (token
         position, queues, sequence counters ...).  Values must be
-        canonical across backends: e.g. numpy integers normalised with
-        ``int()``, dict contents listed in ``self.peers`` order.
+        canonical: e.g. dict contents listed in ``self.peers`` order.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the state-"
@@ -207,9 +246,11 @@ class MutexPeer(Process):
                 f"{self.name}: request_cs() in state {self._state.value}"
             )
         self._state = PeerState.REQ
-        if "cs_request" in self.sim.trace.active_kinds:
-            self.sim.trace.emit(
-                "cs_request", time=self.now, node=self.node, port=self.port
+        trace = self.sim.trace
+        if "cs_request" in trace.active_kinds:
+            trace.emit(
+                "cs_request", time=self.sim._now, node=self.node,
+                port=self.port,
             )
         self._do_request()
 
@@ -223,10 +264,20 @@ class MutexPeer(Process):
                 f"{self.name}: release_cs() in state {self._state.value}"
             )
         self._state = PeerState.NO_REQ
-        if "cs_exit" in self.sim.trace.active_kinds:
-            self.sim.trace.emit(
-                "cs_exit", time=self.now, node=self.node, port=self.port
-            )
+        trace = self.sim.trace
+        if trace.version != self._emit_version:
+            self._refresh_emit(trace)
+        fns = self._exit_subs
+        if fns:
+            # What trace.emit("cs_exit", ...) would deliver (see
+            # _refresh_emit), built in this frame.
+            record = TraceRecord.__new__(TraceRecord)
+            record.kind = "cs_exit"
+            record.fields = {
+                "time": self.sim._now, "node": self.node, "port": self.port,
+            }
+            for fn in fns:
+                fn(record)
         self._do_release()
 
     # ------------------------------------------------------------------ #
@@ -250,10 +301,21 @@ class MutexPeer(Process):
             raise ProtocolError(f"{self.name}: double grant")
         self._state = PeerState.CS
         self.cs_count += 1
-        if "cs_enter" in self.sim.trace.active_kinds:
-            self.sim.trace.emit(
-                "cs_enter", time=self.now, node=self.node, port=self.port
-            )
+        trace = self.sim.trace
+        if trace.version != self._emit_version:
+            self._refresh_emit(trace)
+        fns = self._enter_subs
+        if fns:
+            # Mirror of the cs_exit block in release_cs.
+            record = TraceRecord.__new__(TraceRecord)
+            record.kind = "cs_enter"
+            record.fields = {
+                "time": self.sim._now, "node": self.node, "port": self.port,
+            }
+            for fn in fns:
+                fn(record)
+        # Copy: a subscriber may remove itself while the list is walked
+        # (recovery's one-shot failover callback does).
         for fn in tuple(self.on_granted):
             fn()
 
@@ -264,27 +326,45 @@ class MutexPeer(Process):
         for fn in tuple(self.on_pending_request):
             fn()
 
+    def _refresh_emit(self, trace: Tracer) -> None:
+        """Re-snapshot the cs_enter/cs_exit delivery lists.
+
+        ``kind in active_kinds`` is true iff the kind's subscriber list
+        or the ``"*"`` list is non-empty, so the concatenated tuple being
+        truthy is exactly ``emit``'s gate, and iterating it delivers in
+        ``emit``'s order (kind subscribers, then star).  Grant and
+        release run twice per CS; this saves ``emit``'s frame, keyword
+        packing and subscriber lookup on both.
+        """
+        self._emit_version = trace.version
+        subs = trace._subs
+        star = trace._star
+        self._enter_subs = tuple(subs.get("cs_enter") or ()) + star
+        self._exit_subs = tuple(subs.get("cs_exit") or ()) + star
+
     def _send(self, dst: int, kind: str, payload: Optional[dict] = None,
               size: int = DEFAULT_MESSAGE_SIZE) -> None:
         """Send a protocol message to peer ``dst`` on this instance's port."""
-        self.net.send(self.node, dst, self.port, kind, payload, size)
+        self.net.fast_send(self.node, dst, self.port, kind, payload, size)
 
     def _broadcast(self, kind: str, payload: Optional[dict] = None,
                    size: int = DEFAULT_MESSAGE_SIZE) -> None:
-        """Send ``kind`` to every other peer (N-1 messages)."""
+        """Send ``kind`` to every other peer (N-1 messages), each with
+        its own copy of ``payload``."""
+        node, port, send = self.node, self.port, self.net.fast_send
         for dst in self.peers:
-            if dst != self.node:
-                self.net.send(self.node, dst, self.port, kind,
-                              dict(payload) if payload else {}, size)
+            if dst != node:
+                send(node, dst, port, kind,
+                     dict(payload) if payload else {}, size)
 
     def _on_message(self, msg: Message) -> None:
-        """Dispatch an incoming message to ``_on_<kind>``."""
-        handler = getattr(self, f"_on_{msg.kind}", None)
+        """Dispatch an incoming message to ``_on_<kind>(src, payload)``."""
+        handler = self._kind_handlers.get(msg.kind)
         if handler is None:
             raise ProtocolError(
                 f"{self.name}: unexpected message kind {msg.kind!r}"
             )
-        handler(msg)
+        handler(self, msg.src, msg.payload)
 
     def shutdown(self) -> None:
         """Detach from the network and cancel timers (test teardown)."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..net.message import Message
 from .base import MutexPeer, PeerState
 
 __all__ = ["LamportPeer"]
@@ -68,8 +67,8 @@ class LamportPeer(MutexPeer):
         self._broadcast("release", {"ts": ts, "origin": self.node})
 
     # ------------------------------------------------------------------ #
-    def _on_request(self, msg: Message) -> None:
-        ts, origin = msg.payload["ts"], msg.payload["origin"]
+    def _on_request(self, src: int, payload: dict) -> None:
+        ts, origin = payload["ts"], payload["origin"]
         self._tick(ts)
         self._seen[origin] = max(self._seen[origin], ts)
         heapq.heappush(self._queue, (ts, origin))
@@ -78,14 +77,14 @@ class LamportPeer(MutexPeer):
         self._send(origin, "ack", {"ts": self._tick()})
         self._try_enter()
 
-    def _on_ack(self, msg: Message) -> None:
-        ts = msg.payload["ts"]
+    def _on_ack(self, src: int, payload: dict) -> None:
+        ts = payload["ts"]
         self._tick(ts)
-        self._seen[msg.src] = max(self._seen[msg.src], ts)
+        self._seen[src] = max(self._seen[src], ts)
         self._try_enter()
 
-    def _on_release(self, msg: Message) -> None:
-        ts, origin = msg.payload["ts"], msg.payload["origin"]
+    def _on_release(self, src: int, payload: dict) -> None:
+        ts, origin = payload["ts"], payload["origin"]
         self._tick(ts)
         self._seen[origin] = max(self._seen[origin], ts)
         self._queue = [(t, o) for (t, o) in self._queue if o != origin]

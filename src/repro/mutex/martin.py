@@ -21,9 +21,8 @@ between requester and holder — ``N`` on average.  ``T_req`` and
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
-from ..net.message import Message
 from .base import MutexPeer, PeerState
 
 __all__ = ["MartinPeer"]
@@ -38,12 +37,6 @@ class MartinPeer(MutexPeer):
     #: registry name
     algorithm_name = "martin"
     topology = "ring"
-    #: Hot-state layout consumed by :mod:`repro.compile.state` (ring
-    #: position scalars; no per-peer maps).
-    compiled_state = {
-        "scalars": ("_holds_token", "_owe_pred", "successor", "predecessor"),
-        "peer_arrays": (),
-    }
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -93,9 +86,9 @@ class MartinPeer(MutexPeer):
     # ------------------------------------------------------------------ #
     # message handlers
     # ------------------------------------------------------------------ #
-    def _on_request(self, msg: Message) -> None:
+    def _on_request(self, src: int, payload: Optional[dict]) -> None:
         if self._holds_token:
-            if self.state is PeerState.CS:
+            if self._state is PeerState.CS:
                 # Serve the predecessor side after our own CS.
                 first = not self._owe_pred
                 self._owe_pred = True
@@ -106,7 +99,7 @@ class MartinPeer(MutexPeer):
                 self._owe_pred = True
                 self._pass_token()
         else:
-            if self.state is PeerState.REQ or self._owe_pred:
+            if self._state is PeerState.REQ or self._owe_pred:
                 # Our own pending request (or an earlier relayed one)
                 # already guarantees the token will come through here;
                 # absorb the duplicate and remember the obligation.
@@ -115,9 +108,9 @@ class MartinPeer(MutexPeer):
                 self._owe_pred = True
                 self._send(self.successor, "request")
 
-    def _on_token(self, msg: Message) -> None:
+    def _on_token(self, src: int, payload: Optional[dict]) -> None:
         self._holds_token = True
-        if self.state is PeerState.REQ:
+        if self._state is PeerState.REQ:
             self._grant()
         elif self._owe_pred:
             # We only relayed a request: keep the token moving.

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..errors import ProtocolError
-from ..net.message import Message
 from .base import MutexPeer, PeerState
 
 __all__ = ["NaimiTrehelPeer"]
@@ -34,12 +33,6 @@ class NaimiTrehelPeer(MutexPeer):
 
     algorithm_name = "naimi"
     topology = "tree"
-    #: Hot-state layout consumed by :mod:`repro.compile.state` (plain
-    #: data, so the mutex layer never imports the compile package).
-    compiled_state = {
-        "scalars": ("_holds_token", "last", "next"),
-        "peer_arrays": (),
-    }
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -65,8 +58,7 @@ class NaimiTrehelPeer(MutexPeer):
         return self.last == self.node
 
     def _fingerprint_state(self) -> tuple:
-        return (self._holds_token, int(self.last),
-                None if self.next is None else int(self.next))
+        return (self._holds_token, self.last, self.next)
 
     # ------------------------------------------------------------------ #
     # requesting
@@ -84,19 +76,20 @@ class NaimiTrehelPeer(MutexPeer):
     # releasing
     # ------------------------------------------------------------------ #
     def _do_release(self) -> None:
-        if self.next is not None:
-            dst, self.next = self.next, None
+        nxt = self.next
+        if nxt is not None:
+            self.next = None
             self._holds_token = False
-            self._send(dst, "token")
+            self._send(nxt, "token")
         # else: keep the token idle; we stay the tree root.
 
     # ------------------------------------------------------------------ #
     # message handlers
     # ------------------------------------------------------------------ #
-    def _on_request(self, msg: Message) -> None:
-        origin = msg.payload["origin"]
-        if self.is_root:
-            if self._holds_token and self.state is PeerState.NO_REQ:
+    def _on_request(self, src: int, payload: dict) -> None:
+        origin = payload["origin"]
+        if self.last == self.node:  # tree root
+            if self._holds_token and self._state is PeerState.NO_REQ:
                 # Idle holder: grant straight away.
                 self._holds_token = False
                 self._send(origin, "token")
@@ -117,12 +110,12 @@ class NaimiTrehelPeer(MutexPeer):
         # Path reversal: origin is now the probable owner.
         self.last = origin
 
-    def _on_token(self, msg: Message) -> None:
+    def _on_token(self, src: int, payload: Optional[dict]) -> None:
         if self._holds_token:
             raise ProtocolError(f"{self.name}: received a second token")
         self._holds_token = True
-        if self.state is not PeerState.REQ:
+        if self._state is not PeerState.REQ:
             raise ProtocolError(
-                f"{self.name}: token arrived in state {self.state.value}"
+                f"{self.name}: token arrived in state {self._state.value}"
             )
         self._grant()

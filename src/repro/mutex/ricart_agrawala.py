@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Any, List, Optional, Set, Tuple
 
 from ..errors import ProtocolError
-from ..net.message import Message
 from .base import MutexPeer, PeerState
 
 __all__ = ["RicartAgrawalaPeer"]
@@ -69,9 +68,9 @@ class RicartAgrawalaPeer(MutexPeer):
             self._send(dst, "reply")
 
     # ------------------------------------------------------------------ #
-    def _on_request(self, msg: Message) -> None:
-        ts = msg.payload["ts"]
-        origin = msg.payload["origin"]
+    def _on_request(self, src: int, payload: dict) -> None:
+        ts = payload["ts"]
+        origin = payload["origin"]
         self.clock = max(self.clock, ts) + 1
         if self.state is PeerState.CS:
             self._deferred.append(origin)
@@ -86,12 +85,12 @@ class RicartAgrawalaPeer(MutexPeer):
         else:
             self._send(origin, "reply")
 
-    def _on_reply(self, msg: Message) -> None:
+    def _on_reply(self, src: int, payload: Optional[dict]) -> None:
         if self.state is not PeerState.REQ:
             raise ProtocolError(
                 f"{self.name}: reply arrived in state {self.state.value}"
             )
-        self._replies_missing.discard(msg.src)
+        self._replies_missing.discard(src)
         if not self._replies_missing:
             self._enter()
 

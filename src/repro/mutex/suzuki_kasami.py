@@ -28,7 +28,7 @@ from collections import deque
 from typing import Any, Deque, Dict, Optional
 
 from ..errors import ProtocolError
-from ..net.message import DEFAULT_MESSAGE_SIZE, Message
+from ..net.message import DEFAULT_MESSAGE_SIZE
 from .base import MutexPeer, PeerState
 
 __all__ = ["SuzukiKasamiPeer"]
@@ -43,12 +43,6 @@ class SuzukiKasamiPeer(MutexPeer):
 
     algorithm_name = "suzuki"
     topology = "complete-graph"
-    #: Hot-state layout consumed by :mod:`repro.compile.state`: the
-    #: RN/LN maps lower to per-peer ``int64`` arrays in ``peers`` order.
-    compiled_state = {
-        "scalars": ("_holds_token",),
-        "peer_arrays": ("rn", "ln"),
-    }
 
     def __init__(self, *args: Any, retry_ms: Optional[float] = None, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -76,24 +70,22 @@ class SuzukiKasamiPeer(MutexPeer):
     def has_pending_request(self) -> bool:
         if not self._holds_token:
             return False
-        assert self.ln is not None and self.queue is not None
         if self.queue:
             return True
-        return any(
-            self.rn[j] == self.ln[j] + 1
-            for j in self.peers
-            if j != self.node
-        )
+        rn, ln, node = self.rn, self.ln, self.node
+        assert ln is not None
+        for j in self.peers:
+            if j != node and rn[j] == ln[j] + 1:
+                return True
+        return False
 
     def _fingerprint_state(self) -> tuple:
-        # int() canonicalises across backends: the compiled peer stores
-        # RN/LN as numpy int64 arrays behind dict-like views.
-        rn = tuple(int(self.rn[p]) for p in self.peers)
+        rn = tuple(self.rn[p] for p in self.peers)
         if not self._holds_token:
             return (False, rn, None, None)
         assert self.ln is not None and self.queue is not None
-        ln = tuple(int(self.ln[p]) for p in self.peers)
-        return (True, rn, ln, tuple(int(q) for q in self.queue))
+        ln = tuple(self.ln[p] for p in self.peers)
+        return (True, rn, ln, tuple(self.queue))
 
     # ------------------------------------------------------------------ #
     # requesting
@@ -102,15 +94,14 @@ class SuzukiKasamiPeer(MutexPeer):
         if self._holds_token:
             self._grant()
             return
-        self.rn[self.node] += 1
-        self._broadcast(
-            "request", {"origin": self.node, "seq": self.rn[self.node]}
-        )
-        self._arm_retry()
+        node = self.node
+        seq = self.rn[node] + 1
+        self.rn[node] = seq
+        self._broadcast("request", {"origin": node, "seq": seq})
+        if self.retry_ms is not None:
+            self._arm_retry()
 
     def _arm_retry(self) -> None:
-        if self.retry_ms is None:
-            return
         self._retry_timer = self.set_timer(
             self.retry_ms, self._retry, label=f"{self.name}.retry"
         )
@@ -118,7 +109,7 @@ class SuzukiKasamiPeer(MutexPeer):
     def _retry(self) -> None:
         """Re-broadcast the outstanding request (same sequence number —
         receivers that already saw it ignore the duplicate via RN)."""
-        if self.state is not PeerState.REQ:
+        if self._state is not PeerState.REQ:
             return
         self.retries += 1
         self._broadcast(
@@ -130,57 +121,61 @@ class SuzukiKasamiPeer(MutexPeer):
     # releasing
     # ------------------------------------------------------------------ #
     def _do_release(self) -> None:
-        assert self.ln is not None and self.queue is not None
-        self.ln[self.node] = self.rn[self.node]
+        rn, ln, queue, node = self.rn, self.ln, self.queue, self.node
+        assert ln is not None and queue is not None
+        ln[node] = rn[node]
         for j in self.peers:
-            if j != self.node and self.rn[j] == self.ln[j] + 1 and j not in self.queue:
-                self.queue.append(j)
-        if self.queue:
-            self._send_token(self.queue.popleft())
+            if j != node and rn[j] == ln[j] + 1 and j not in queue:
+                queue.append(j)
+        if queue:
+            self._send_token(queue.popleft())
 
     # ------------------------------------------------------------------ #
     # message handlers
     # ------------------------------------------------------------------ #
-    def _on_request(self, msg: Message) -> None:
-        origin = msg.payload["origin"]
-        seq = msg.payload["seq"]
-        if seq <= self.rn[origin]:
+    def _on_request(self, src: int, payload: dict) -> None:
+        origin = payload["origin"]
+        seq = payload["seq"]
+        rn = self.rn
+        if seq <= rn[origin]:
             return  # outdated or duplicated request
-        self.rn[origin] = seq
+        rn[origin] = seq
         if not self._holds_token:
             return
-        assert self.ln is not None
-        if self.rn[origin] == self.ln[origin] + 1:
-            if self.state is PeerState.NO_REQ:
+        ln = self.ln
+        assert ln is not None
+        if seq == ln[origin] + 1:
+            if self._state is PeerState.NO_REQ:
                 # Idle holder grants immediately.
                 self._send_token(origin)
             else:
                 # In the CS: the request will be queued at release time.
                 self._notify_pending()
 
-    def _on_token(self, msg: Message) -> None:
+    def _on_token(self, src: int, payload: dict) -> None:
         if self._holds_token:
             raise ProtocolError(f"{self.name}: received a second token")
         if self._retry_timer is not None:
             self._retry_timer.cancel()
             self._retry_timer = None
         self._holds_token = True
-        self.ln = dict(msg.payload["ln"])
-        self.queue = deque(msg.payload["queue"])
-        if self.state is not PeerState.REQ:
+        self.ln = dict(payload["ln"])
+        self.queue = deque(payload["queue"])
+        if self._state is not PeerState.REQ:
             raise ProtocolError(
-                f"{self.name}: token arrived in state {self.state.value}"
+                f"{self.name}: token arrived in state {self._state.value}"
             )
         self._grant()
 
     # ------------------------------------------------------------------ #
     def _send_token(self, dst: int) -> None:
         """Transfer the token (with its LN array and queue) to ``dst``."""
-        assert self.ln is not None and self.queue is not None
         ln, queue = self.ln, self.queue
+        assert ln is not None and queue is not None
         self._holds_token = False
         self.ln = None
         self.queue = None
         # The token payload scales with N: LN has one entry per peer.
+        # LN itself travels (we just gave it up); the receiver copies it.
         size = DEFAULT_MESSAGE_SIZE + 8 * len(self.peers) + 8 * len(queue)
-        self._send(dst, "token", {"ln": dict(ln), "queue": list(queue)}, size=size)
+        self._send(dst, "token", {"ln": ln, "queue": list(queue)}, size=size)

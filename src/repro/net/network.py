@@ -179,17 +179,6 @@ class Network:
         network: a finished run would otherwise be cyclic garbage."""
         self._handlers.clear()
 
-    def fast_class(self, cls: type) -> type:
-        """The class to instantiate for ``cls`` on this transport.
-
-        Systems and workloads ask this where they build peers,
-        coordinators and application processes.  This network has no
-        fast path and always answers ``cls``;
-        :class:`~repro.compile.network.CompiledNetwork` answers with the
-        class's fast twin when it can serve one.
-        """
-        return cls
-
     # ------------------------------------------------------------------ #
     # delivery interception (repro.analysis.explore)
     # ------------------------------------------------------------------ #
@@ -292,6 +281,21 @@ class Network:
             for tap in self._send_taps:
                 tap(msg)
         return msg
+
+    def fast_send(
+        self,
+        src: int,
+        dst: int,
+        port: str,
+        kind: str,
+        payload: Optional[dict],
+        size: int,
+    ) -> None:
+        """The send mutex peers use: :meth:`send` without the returned
+        message, which leaves a network free to deliver without one
+        (:class:`~repro.compile.network.CompiledNetwork`'s table route).
+        Here it is exactly :meth:`send`."""
+        self.send(src, dst, port, kind, payload, size)
 
     # ------------------------------------------------------------------ #
     # delivery

@@ -186,22 +186,35 @@ class Simulator:
         return EventHandle(event, self)
 
     def post_at(
-        self, time: float, callback: Callable[..., Any], args: tuple = ()
+        self,
+        time: float,
+        callback: Callable[..., Any],
+        args: tuple = (),
+        label: str = "",
     ) -> Event:
         """Handle-free scheduling at absolute time ``time`` (hot path).
 
         Identical ordering semantics to :meth:`schedule_at` but skips the
-        :class:`EventHandle` allocation, the label, and the callable check
-        — for internal callers (message delivery, workload stepping) that
-        schedule in bulk and never cancel.  Returns the raw
-        :class:`Event`; treat it as opaque.
+        :class:`EventHandle` allocation and the callable check — for
+        internal callers (message delivery, workload timers) that
+        schedule in bulk and never cancel.  ``label`` is what ``event``
+        trace subscribers see, as with :meth:`schedule_at`.  Returns the
+        raw :class:`Event`; treat it as opaque.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule into the past (t={time} < now={self._now})"
             )
         seq = self._seq
-        event = Event(time, seq, callback, args)
+        # Event(...) without the __init__ frame: this runs once per
+        # delivery and per application timer.
+        event = Event.__new__(Event)
+        event.time = time
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event.label = label
         if self._tie_salt is not None:
             # Sanitizer mode: permute the tie-break key (bijective, so
             # still unique — comparisons never reach the Event object).

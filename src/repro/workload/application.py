@@ -95,17 +95,19 @@ class ApplicationProcess(Process):
         if self.n_cs == 0 and on_done is not None:
             on_done(self)
         if self.n_cs > 0:
-            self.set_timer(
-                first_request_at + self._draw_think(),
-                self._request,
-                label=f"{self.name}.first",
+            # Handle-free timers throughout: nothing ever cancels them,
+            # and an EventHandle plus a tracking list per process would
+            # be set-up allocations for every application node.
+            delay = first_request_at + self._draw_think()
+            self.sim.post_at(
+                self.sim._now + delay, self._request, (),
+                f"{self.name}.first",
             )
 
     def close(self) -> None:
-        """Detach from the peer and drop the timer handles (teardown
-        after the run): both reference this process back."""
+        """Detach from the peer (teardown after the run): the peer's
+        callback list references this process back."""
         self.peer.on_granted.remove(self._on_granted)
-        self._timers = ()
 
     # ------------------------------------------------------------------ #
     @property
@@ -122,10 +124,11 @@ class ApplicationProcess(Process):
 
     # ------------------------------------------------------------------ #
     def _request(self) -> None:
-        self._requested_at = self.now
-        if "app_request" in self.sim.trace.active_kinds:
-            self.sim.trace.emit(
-                "app_request", time=self.now, node=self.peer.node,
+        sim = self.sim
+        self._requested_at = sim._now
+        if "app_request" in sim.trace.active_kinds:
+            sim.trace.emit(
+                "app_request", time=sim._now, node=self.peer.node,
                 cluster=self.cluster,
             )
         self.peer.request_cs()
@@ -140,27 +143,35 @@ class ApplicationProcess(Process):
             raise ConfigurationError(
                 f"{self.name}: CS granted without an outstanding request"
             )
-        self._granted_at = self.now
-        self.set_timer(self.alpha, self._release, label=self._cs_label)
+        sim = self.sim
+        now = sim._now
+        self._granted_at = now
+        sim.post_at(now + self.alpha, self._release, (), self._cs_label)
 
     def _release(self) -> None:
         assert self._requested_at is not None and self._granted_at is not None
+        sim = self.sim
         self.peer.release_cs()
-        self.collector.add(
-            CSRecord(
-                node=self.peer.node,
-                cluster=self.cluster,
-                requested_at=self._requested_at,
-                granted_at=self._granted_at,
-                released_at=self.now,
-            )
+        # The frozen-dataclass constructor costs five object.__setattr__
+        # calls plus a timestamp validation; the invariant it checks
+        # (requested <= granted <= released) holds by construction here
+        # — granted_at was stamped at grant time and alpha > 0.
+        record = CSRecord.__new__(CSRecord)
+        record.__dict__.update(
+            node=self.peer.node,
+            cluster=self.cluster,
+            requested_at=self._requested_at,
+            granted_at=self._granted_at,
+            released_at=sim._now,
         )
+        self.collector.add(record)
         self._requested_at = None
         self._granted_at = None
         self.completed += 1
-        if not self.done:
-            self.set_timer(
-                self._draw_think(), self._request, label=self._think_label
+        if self.completed < self.n_cs:
+            sim.post_at(
+                sim._now + self._draw_think(), self._request, (),
+                self._think_label,
             )
         elif self.on_done is not None:
             self.on_done(self)

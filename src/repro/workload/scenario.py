@@ -43,7 +43,6 @@ def deploy_workload(
             )
     if collector is None:
         collector = MetricsCollector()
-    app_cls = system.net.fast_class(ApplicationProcess)
     apps = []
     for node in system.app_nodes:
         cluster = system.topology.cluster_of(node)
@@ -51,7 +50,7 @@ def deploy_workload(
             rho_by_cluster.get(cluster, rho) if rho_by_cluster else rho
         )
         apps.append(
-            app_cls(
+            ApplicationProcess(
                 peer=system.peer_for(node),
                 cluster=cluster,
                 alpha_ms=alpha_ms,

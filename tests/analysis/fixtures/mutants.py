@@ -7,8 +7,8 @@ evidence that the checker's properties have teeth — a checker that
 passes these is checking nothing.
 
 The mutants are used through :attr:`ExploreScope.peer_factory`, which
-forces a flat, interpreted, crash-free cell and disables the static
-send-envelope oracle (the bug is invisible to static analysis — that is
+forces a flat, crash-free cell and disables the static send-envelope
+oracle (the bug is invisible to static analysis — that is
 the point: the *dynamic* checker has to catch it).
 """
 
@@ -27,14 +27,14 @@ __all__ = [
 class BrokenNaimiPeer(NaimiTrehelPeer):
     """Naimi-Trehel root that silently drops a request it should queue.
 
-    The interpreted ``_on_request`` records ``origin`` as ``next`` when
-    the root is busy; this mutant forgets, so the requester waits for a
-    token that will never be forwarded — a deadlock once the rest of the
-    system quiesces.
+    The real ``_on_request`` records ``origin`` as ``next`` when the root
+    is busy; this mutant forgets, so the requester waits for a token that
+    will never be forwarded — a deadlock once the rest of the system
+    quiesces.
     """
 
-    def _on_request(self, msg) -> None:
-        origin = msg.payload["origin"]
+    def _on_request(self, src, payload) -> None:
+        origin = payload["origin"]
         if self.is_root:
             if self._holds_token and self.state is PeerState.NO_REQ:
                 self._holds_token = False
@@ -48,7 +48,7 @@ class BrokenNaimiPeer(NaimiTrehelPeer):
 class BrokenSuzukiPeer(SuzukiKasamiPeer):
     """Suzuki-Kasami holder that ships the token without letting go.
 
-    The interpreted ``_send_token`` clears ``_holds_token`` (and the
+    The real ``_send_token`` clears ``_holds_token`` (and the
     LN/queue ownership) before the send; this mutant keeps everything,
     so the old holder still believes it may enter the CS locally while
     the new holder does the same — a mutual-exclusion violation.
@@ -67,7 +67,7 @@ class BrokenSuzukiPeer(SuzukiKasamiPeer):
 class BrokenCentralizedPeer(CentralizedPeer):
     """Central coordinator that grants without honouring the queue.
 
-    The interpreted coordinator queues a request that arrives while the
+    The real coordinator queues a request that arrives while the
     CS is busy and only grants on release, after dequeuing the waiter;
     this mutant grants straight away without touching the queue, so two
     clients hold overlapping grants — a mutual-exclusion violation.

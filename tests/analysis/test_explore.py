@@ -3,9 +3,8 @@
 The load-bearing facts:
 
 * the default {naimi, suzuki, martin} x {flat, composition} matrix (plus
-  the crash cell) verifies clean, exhaustively, under BOTH backends,
-  with identical explored-state fingerprints and >= 10x reduction on
-  every fault-free cell;
+  the crash cell) verifies clean, exhaustively, with pinned explored-state
+  fingerprints and >= 10x reduction on every fault-free cell;
 * the sleep-set reduction visits exactly the state set of a full
   expansion (soundness of the pruning);
 * every seeded mutant yields the expected counterexample — the checker
@@ -64,34 +63,38 @@ class TestDefaultMatrix:
 
     def test_explorations_are_exhaustive(self, matrix):
         for cell in matrix.cells:
-            assert cell.interpreted.complete, cell.scope.describe()
+            assert cell.complete, cell.scope.describe()
 
-    def test_backends_explore_identical_state_sets(self, matrix):
-        compiled_cells = [c for c in matrix.cells if c.compiled is not None]
-        # every fault-free cell runs compiled too; only the crash cell
-        # is interpreted-only
-        assert len(compiled_cells) == len(matrix.cells) - 1
-        for cell in compiled_cells:
-            assert cell.backends_agree, cell.scope.describe()
-            assert (
-                cell.interpreted.state_fingerprint
-                == cell.compiled.state_fingerprint
-            )
-            assert cell.interpreted.states == cell.compiled.states
+    def test_explored_state_sets_are_pinned(self, matrix):
+        # Any change to a protocol's reachable states (or to what a
+        # peer's fingerprint covers) moves these; update them only with
+        # the change that explains why.
+        pinned = {
+            "flat:naimi:2x3:r2:q1,2,4": (1432, "32d6182d43be0a51"),
+            "flat:suzuki:2x3:r1:q1,2,4": (3635, "1c2af706829ead41"),
+            "flat:martin:2x3:r1": (3816, "6dad9bfc432f0593"),
+            "composition:naimi-naimi:2x3:r2:q1,2,4": (2948, "45dab3aae1d3f652"),
+            "composition:suzuki-suzuki:2x3:r1:q1,2,4": (3249, "a5b578080abacf52"),
+            "composition:martin-martin:2x3:r1:q1,2,4": (695, "5fec159e05b375f2"),
+            "flat:naimi:2x2:r1:crash1": (57, "d5832a6a3805968a"),
+        }
+        got = {
+            cell.scope.describe(): (cell.states, cell.state_fingerprint)
+            for cell in matrix.cells
+        }
+        assert got == pinned
 
     def test_fault_free_cells_reduce_at_least_10x(self, matrix):
         for cell in matrix.cells:
             if cell.scope.crash_node is not None:
                 continue
-            ratio = cell.interpreted.reduction_ratio
+            ratio = cell.reduction_ratio
             assert ratio >= 10.0, (cell.scope.describe(), ratio)
 
     def test_crash_cell_exercises_recovery(self, matrix):
         crash = [c for c in matrix.cells if c.scope.crash_node is not None]
         assert len(crash) == 1
-        report = crash[0].interpreted
-        assert report.ok
-        assert crash[0].compiled is None  # crash cells run interpreted only
+        assert crash[0].ok
 
 
 # --------------------------------------------------------------------- #
@@ -257,13 +260,6 @@ class TestScheduleRoundTrip:
 # scope validation
 # --------------------------------------------------------------------- #
 class TestScopeValidation:
-    def test_mutants_cannot_run_compiled(self):
-        with pytest.raises(ExplorationError, match="interpreted"):
-            World(ExploreScope(
-                system="flat", intra="naimi", backend="compiled",
-                peer_factory=BrokenNaimiPeer,
-            ))
-
     def test_crash_requires_flat(self):
         with pytest.raises(ExplorationError):
             World(ExploreScope(system="composition", crash_node=1))

@@ -10,8 +10,6 @@ from repro.analysis.rules import (
     DEFAULT_RULES,
     CacheBypassRule,
     CompositionPurityRule,
-    FastHandlerDriftRule,
-    HandDispatchRule,
     KernelReentryRule,
     MutableDefaultRule,
     StdlibRandomRule,
@@ -481,160 +479,9 @@ class TestCacheBypass:
 
 
 # --------------------------------------------------------------------- #
-# RPR008 — hand-written dispatch in the compiled backend
-# --------------------------------------------------------------------- #
-COMPILE_PATH = "src/repro/compile/frag.py"
-
-
-class TestHandDispatch:
-    def test_flags_string_built_getattr(self):
-        findings = run_rule(
-            HandDispatchRule,
-            """
-            def deliver(peer, kind, payload):
-                handler = getattr(peer, f"_on_{kind}")
-                handler(payload)
-            """,
-            path=COMPILE_PATH,
-        )
-        assert len(findings) == 1
-        assert "getattr" in findings[0][2]
-
-    def test_flags_concat_built_getattr(self):
-        findings = run_rule(
-            HandDispatchRule,
-            """
-            def deliver(peer, kind, payload):
-                getattr(peer, "_on_" + kind)(payload)
-            """,
-            path=COMPILE_PATH,
-        )
-        assert len(findings) == 1
-
-    def test_flags_kind_ladder(self):
-        findings = run_rule(
-            HandDispatchRule,
-            """
-            def deliver(self, msg):
-                if msg.kind == "request":
-                    self._fast_on_request(msg.src, msg.payload)
-                elif msg.kind == "token":
-                    self._fast_on_token(msg.src, msg.payload)
-            """,
-            path=COMPILE_PATH,
-        )
-        assert len(findings) == 2
-        assert all("kind==" in f[2] or "per-kind" in f[2] for f in findings)
-
-    def test_flags_literal_handler_map(self):
-        findings = run_rule(
-            HandDispatchRule,
-            """
-            def table(self):
-                return {
-                    "request": self._on_request,
-                    "token": self._on_token,
-                }
-            """,
-            path=COMPILE_PATH,
-        )
-        assert len(findings) == 1
-        assert "literal" in findings[0][2]
-
-    def test_ignores_unrelated_getattr(self):
-        # Promotion plumbing: rebinding via __name__ and feature probes
-        # must stay clean.
-        findings = run_rule(
-            HandDispatchRule,
-            """
-            def rebind(callbacks, owner):
-                for i, fn in enumerate(callbacks):
-                    if getattr(fn, "__self__", None) is owner:
-                        callbacks[i] = getattr(owner, fn.__func__.__name__)
-            """,
-            path=COMPILE_PATH,
-        )
-        assert findings == []
-
-    def test_table_generator_module_is_exempt(self):
-        findings = run_rule(
-            HandDispatchRule,
-            """
-            def fast_table(cls, kind):
-                return getattr(cls, f"_fast_on_{kind}", None)
-            """,
-            path="src/repro/compile/tables.py",
-        )
-        assert findings is None
-
-    def test_modules_outside_compile_are_out_of_scope(self):
-        findings = run_rule(
-            HandDispatchRule,
-            """
-            def deliver(peer, kind, payload):
-                getattr(peer, f"_on_{kind}")(payload)
-            """,
-            path="src/repro/net/network.py",
-        )
-        assert findings is None
-
-    def test_shipped_compile_modules_are_clean(self):
-        import repro.compile.network as network
-        import repro.compile.peers as peers
-        import repro.compile.state as state
-
-        for module in (network, peers, state):
-            path = Path(module.__file__)
-            findings = run_rule(
-                HandDispatchRule, path.read_text(), path=str(path)
-            )
-            assert findings == [], f"{path} hand-dispatches: {findings}"
-
-
-# --------------------------------------------------------------------- #
-# RPR009 — compiled-handler drift
-# --------------------------------------------------------------------- #
-class TestFastHandlerDrift:
-    DRIFT = Path(__file__).parent / "fixtures" / "rpr009_drift"
-
-    def _run_on(self, path: Path):
-        return run_rule(FastHandlerDriftRule, path.read_text(), path=str(path))
-
-    def test_drift_fixture_is_flagged(self):
-        findings = self._run_on(self.DRIFT / "repro" / "compile" / "peers.py")
-        assert findings is not None and len(findings) == 2
-        messages = sorted(msg for _l, _c, msg in findings)
-        assert "no interpreted _on_grant counterpart" in messages[0]
-        assert "send-kind effect multisets must be identical" in messages[1]
-
-    def test_shipped_fast_tables_are_clean(self):
-        import repro.compile.peers as peers
-
-        path = Path(peers.__file__)
-        findings = self._run_on(path)
-        assert findings == [], f"shipped fast tables drift: {findings}"
-
-    def test_modules_outside_compile_do_not_apply(self):
-        findings = run_rule(
-            FastHandlerDriftRule,
-            "class X:\n    def _fast_on_request(self, m):\n        pass\n",
-            path="src/repro/mutex/frag.py",
-        )
-        assert findings is None
-
-    def test_compile_module_without_fast_handlers_does_not_apply(self):
-        findings = run_rule(
-            FastHandlerDriftRule,
-            "class Y:\n    def helper(self):\n        pass\n",
-            path="src/repro/compile/frag.py",
-        )
-        assert findings is None
-
-
-# --------------------------------------------------------------------- #
 # shared plumbing
 # --------------------------------------------------------------------- #
-def test_default_rules_cover_all_nine_ids():
+def test_default_rules_cover_all_seven_ids():
     assert [cls.id for cls in DEFAULT_RULES] == [
         "RPR001",
         "RPR002",
@@ -643,8 +490,6 @@ def test_default_rules_cover_all_nine_ids():
         "RPR005",
         "RPR006",
         "RPR007",
-        "RPR008",
-        "RPR009",
     ]
     assert all(cls.summary for cls in DEFAULT_RULES)
 

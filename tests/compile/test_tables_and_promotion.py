@@ -1,57 +1,64 @@
-"""Unit tests for the compiled tables, the fast-class choice and the
-deferred statistics."""
+"""Unit tests for the handler tables, the route the compiled network
+picks per send, and its deferred statistics."""
 
-from repro.compile import (
-    CompiledApplicationProcess,
-    CompiledNetwork,
-    check_table_conformance,
-    compile_system,
-    compiled_peer_registry,
-    dispatch_table,
-    fast_table,
+from pathlib import Path
+
+import pytest
+
+from repro.analysis.effects import (
+    extract_algorithm_effects,
+    find_algorithm_classes,
 )
-from repro.compile.peers import CompiledCoordinator
+from repro.compile import CompiledNetwork, compile_system
+from repro.core.composition import Composition, FlatMutex
+from repro.errors import NetworkError
 from repro.experiments import ExperimentConfig, runner
 from repro.experiments.runner import build_platform, build_system
-from repro.net import CrashController, Network, TwoTierLatency, uniform_topology
+from repro.mutex import NaimiTrehelPeer, available_algorithms
+from repro.mutex.base import handler_table
+from repro.net import (
+    CrashController,
+    FaultInjector,
+    Network,
+    TwoTierLatency,
+    uniform_topology,
+)
 from repro.sim import Simulator
-from repro.workload import ApplicationProcess, deploy_workload
+from repro.workload import deploy_workload
+
+ALGORITHMS = sorted(available_algorithms())
 
 
 # --------------------------------------------------------------------- #
 # tables
 # --------------------------------------------------------------------- #
 def test_dispatch_table_mirrors_getattr_protocol():
-    for _name, base, compiled in compiled_peer_registry():
-        for cls in (base, compiled):
-            table = dispatch_table(cls)
-            assert table, f"{cls.__name__}: empty dispatch table"
-            for kind, fn in table.items():
-                assert fn is getattr(cls, f"_on_{kind}")
-            # the dispatcher itself must never appear as a kind
-            assert "message" not in table
-
-
-def test_fast_tables_cover_every_kind():
-    for name, base, compiled in compiled_peer_registry():
-        fast = fast_table(compiled)
-        assert fast is not None, f"{name}: incomplete fast table"
-        assert set(fast) == set(dispatch_table(base))
-
-
-def test_base_classes_have_no_fast_table():
-    # An interpreted peer class must never be table-dispatched onto the
-    # single-frame path.
-    for _name, base, _compiled in compiled_peer_registry():
-        assert fast_table(base) is None
+    for name, info in available_algorithms().items():
+        cls = info.peer_class
+        table = handler_table(cls)
+        assert table, f"{name}: empty handler table"
+        for kind, fn in table.items():
+            assert fn is getattr(cls, f"_on_{kind}")
+        # the dispatcher itself must never appear as a kind
+        assert "message" not in table
 
 
 def test_table_conformance_against_declared_envelopes():
-    assert check_table_conformance() == []
+    # The statically extracted handled-kind set of every algorithm (the
+    # envelope the conformance checks and the model checker use) is
+    # exactly the kind set its runtime handler table dispatches.
+    import repro.mutex
+
+    mutex_dir = Path(repro.mutex.__file__).resolve().parent
+    declared = find_algorithm_classes(sorted(mutex_dir.glob("*.py")))
+    for name, info in available_algorithms().items():
+        path, cls_node = declared[name]
+        envelope = extract_algorithm_effects(path, cls_node).handled_kinds
+        assert set(handler_table(info.peer_class)) == envelope, name
 
 
 # --------------------------------------------------------------------- #
-# fast-class choice
+# route choice
 # --------------------------------------------------------------------- #
 SMALL = ExperimentConfig(
     platform="two-tier", n_clusters=2, apps_per_cluster=2,
@@ -79,12 +86,6 @@ def test_promotion_promotes_peers_coordinators():
         system.inter_peers
     )
     assert report["coordinators"] == len(system.coordinators)
-    for coord in system.coordinators:
-        assert type(coord) is CompiledCoordinator
-        # the automaton callbacks run the fast class's handlers
-        for fn in coord.lower.on_granted:
-            if getattr(fn, "__self__", None) is coord:
-                assert fn.__func__ is CompiledCoordinator._on_lower_granted
 
 
 def test_promotion_refused_on_interpreted_network():
@@ -110,43 +111,150 @@ def test_promotion_refused_with_send_tap():
     assert compile_system(net, system, apps) == NOTHING_FAST
 
 
-def test_event_subscriber_keeps_apps_interpreted():
-    sim, net, system = _composition(CompiledNetwork)
-    sim.trace.subscribe("event", lambda rec: None)
-    apps, _collector = deploy_workload(
-        system, alpha_ms=5.0, rho=4.0, n_cs=1
-    )
-    report = compile_system(net, system, apps)
-    assert report["peers"] > 0  # peers emit no timer labels: still fine
-    assert report["apps"] == 0  # timer labels are observable via "event"
-    assert all(type(a) is ApplicationProcess for a in apps)
+def _system_peers(system):
+    if isinstance(system, Composition):
+        return [p for inst in system.intra_instances for p in inst] + list(
+            system.inter_peers
+        )
+    return [system.peer_for(n) for n in system.app_nodes]
 
 
-def test_exact_type_promotion_skips_subclasses():
-    from repro.core.composition import FlatMutex
-    from repro.mutex import PriorityNaimiPeer
-
-    sim = Simulator(seed=0)
+def _run_small(net_kw=None, algorithm="naimi", system="flat", before=None):
+    """Run a small workload; returns (net, system)."""
+    sim = Simulator(seed=4)
     topo = uniform_topology(2, 3)
+    kw = dict(net_kw or {})
+    if kw.pop("crash", False):
+        kw["crashes"] = CrashController(sim)
     net = CompiledNetwork(
+        sim, topo, TwoTierLatency(topo, lan_ms=0.5, wan_ms=5.0, jitter=0.0),
+        **kw,
+    )
+    if before is not None:
+        before(sim, net)
+    if system == "flat":
+        built = FlatMutex(sim, net, topo, algorithm=algorithm)
+    else:
+        built = Composition(sim, net, topo, intra=algorithm, inter="naimi")
+    apps, _ = deploy_workload(built, alpha_ms=2.0, rho=2.0, n_cs=3)
+    sim.run(until=100_000.0)
+    assert all(a.done for a in apps)
+    return net, built
+
+
+@pytest.mark.parametrize("system", ["flat", "composition"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_algorithm_takes_the_table_route(algorithm, system):
+    net, built = _run_small(algorithm=algorithm, system=system)
+    # the table route buffers its statistics; the Message path does not
+    assert net._pending_stats
+    for peer in _system_peers(built):
+        route = net._route_for(peer.node, peer.port)
+        assert route is not None and route.peer is peer
+        assert route.table is handler_table(type(peer))
+
+
+def _tap(sim, net):
+    net.add_send_tap(lambda msg: None)
+
+
+def _deliver_subscriber(sim, net):
+    sim.trace.subscribe("deliver", lambda rec: None)
+
+
+@pytest.mark.parametrize(
+    "net_kw,before",
+    [
+        ({"crash": True}, None),
+        ({"faults": FaultInjector()}, None),
+        ({"fifo": True}, None),
+        ({}, _tap),
+        ({}, _deliver_subscriber),
+    ],
+    ids=["crash", "fault", "fifo", "tap", "deliver-subscriber"],
+)
+def test_refusing_networks_take_the_message_path(net_kw, before):
+    net, built = _run_small(net_kw, before=before)
+    assert not net._pending_stats
+    assert net.stats.total > 0
+
+
+def _drop_scenario(net_cls, unregister: bool):
+    """A flat Naimi peer requests from the idle root (its request goes
+    out through ``fast_send``), optionally unregistering the root while
+    the request is in flight; returns ``(root, requester)``."""
+    sim = Simulator(seed=0)
+    topo = uniform_topology(1, 4)
+    net = net_cls(
         sim, topo, TwoTierLatency(topo, lan_ms=0.5, wan_ms=5.0, jitter=0.0)
     )
-    assert net.fast_class(PriorityNaimiPeer) is PriorityNaimiPeer
-    flat = FlatMutex(sim, net, topo, algorithm="priority-naimi")
-    assert compile_system(net, flat, ())["peers"] == 0
-    assert all(
-        type(flat.peer_for(n)) is PriorityNaimiPeer for n in flat.app_nodes
-    )
+    flat = FlatMutex(sim, net, topo, algorithm="naimi")
+    root = flat.peer_for(flat.app_nodes[0])
+    requester = flat.peer_for(flat.app_nodes[1])
+    assert root.holds_token
+    sim.schedule(0.0, requester.request_cs)
+    if unregister:
+        sim.schedule(0.0, net.unregister, root.node, "flat")
+    sim.run()
+    return root, requester
 
 
-def test_adaptive_composition_builds_interpreted_classes():
-    # Adaptive switching rewires coordinators and unregisters the old
-    # inter instance mid-run, which the fast classes do not support.
+@pytest.mark.parametrize("net_cls", [Network, CompiledNetwork])
+def test_fast_send_delivery_is_dropped_after_unregister(net_cls):
+    # Control: delivered, the request makes the idle root hand over the
+    # token and the requester enters.
+    root, requester = _drop_scenario(net_cls, unregister=False)
+    assert not root.holds_token and requester.in_cs
+    # Unregistered in flight, the delivery is dropped: the handler never
+    # runs, the (detached) root keeps its token, the requester waits.
+    root, requester = _drop_scenario(net_cls, unregister=True)
+    assert root.holds_token and requester.state.name == "REQ"
+
+
+def test_wrap_handler_refuses_while_table_deliveries_are_in_flight():
+    sim = Simulator(seed=0)
+    topo = uniform_topology(1, 3)
+    net = CompiledNetwork(sim, topo, TwoTierLatency(topo, jitter=0.0))
+    peers = [
+        NaimiTrehelPeer(sim, net, i, (0, 1, 2), "flat", initial_holder=0)
+        for i in range(3)
+    ]
+
+    def burst():
+        peers[1].request_cs()  # the request to the root is in flight
+        sim.stop()
+
+    sim.schedule(0.0, burst)
+    sim.run()
+    with pytest.raises(NetworkError, match="in flight"):
+        net.wrap_handler(0, "flat", lambda inner: inner)
+    net.wrap_handler(2, "flat", lambda inner: inner)  # nothing in flight
+    sim.run()
+    assert peers[1].in_cs  # the request was delivered
+
+
+def test_set_up_sends_take_the_message_path():
+    # Coordinators of a permission-based lower level send during set-up;
+    # a wrapper attached before the run must see those deliveries.
     sim = Simulator(seed=0)
     topology, latency = build_platform(SMALL)
     net = CompiledNetwork(sim, topology, latency)
-    system = build_system(sim, net, topology, SMALL.with_(system="adaptive"))
-    assert compile_system(net, system.base, ()) == NOTHING_FAST
+    system = build_system(
+        sim, net, topology, SMALL.with_(intra="ricart-agrawala")
+    )
+    seen = []
+
+    def wrap(inner):
+        def observed(msg):
+            seen.append(msg.kind)
+            inner(msg)
+        return observed
+
+    for node, port in net.addresses():
+        net.wrap_handler(node, port, wrap)
+    sim.run()
+    assert "request" in seen and "reply" in seen
+    assert all(c.state.name == "OUT" for c in system.coordinators)
 
 
 def test_run_experiment_takes_the_fast_path(monkeypatch):
@@ -155,7 +263,11 @@ def test_run_experiment_takes_the_fast_path(monkeypatch):
     def capture(deploy):
         def wrapped(system, **kwargs):
             apps, collector = deploy(system, **kwargs)
-            built.update(system=system, apps=apps)
+            # counted before the run's teardown detaches everything
+            built.update(
+                net=system.net,
+                report=compile_system(system.net, system, apps),
+            )
             return apps, collector
         return wrapped
 
@@ -163,13 +275,12 @@ def test_run_experiment_takes_the_fast_path(monkeypatch):
         runner, "deploy_workload", capture(runner.deploy_workload)
     )
     runner.run_experiment(SMALL.with_(n_cs=2))
-    report = compile_system(None, built["system"], built["apps"])
-    assert report == {
+    assert isinstance(built["net"], CompiledNetwork)
+    assert built["report"] == {
         "peers": 2 * 3 + 2,  # two intra instances of 3, one inter of 2
         "coordinators": 2,
         "apps": 4,
     }
-    assert all(type(a) is CompiledApplicationProcess for a in built["apps"])
 
 
 # --------------------------------------------------------------------- #

@@ -71,11 +71,9 @@ def fault_free_config(algo: str, system: str) -> ExperimentConfig:
 
 
 def _make_network(sim, topology, latency, backend: str, **kw):
-    """The transport for ``backend`` (same constructor signature).
-
-    Systems built on the compiled network get the fast classes unless
-    it refuses them — as it must on the crash cells; a plain Network
-    always builds the interpreted classes."""
+    """The transport for ``backend`` (same constructor signature): the
+    compiled network picks the route per send, a plain Network always
+    delivers through Message objects."""
     if backend == "compiled":
         from repro.compile import CompiledNetwork
 
@@ -84,11 +82,11 @@ def _make_network(sim, topology, latency, backend: str, **kw):
 
 
 def run_reference(config: ExperimentConfig):
-    """The interpreted reference for ``run_experiment(config)``.
+    """The plain-network reference for ``run_experiment(config)``.
 
     The runner's own wiring, but on a plain :class:`Network`, so every
-    peer, coordinator and application process is built from its
-    interpreted class."""
+    message travels as a :class:`~repro.net.message.Message` through the
+    plain send/deliver pipeline."""
     config.validate()
     sim = Simulator(seed=config.seed, tie_seed=config.tie_seed)
     topology, latency = build_platform(config)
@@ -189,9 +187,7 @@ def run_crash(
             TwoTierLatency(topo, lan_ms=0.5, wan_ms=10.0, jitter=0.0),
             backend, crashes=crashes,
         )
-        # A crash network must refuse the fast class (as Composition's
-        # build does in the composition cell below).
-        cls = net.fast_class(get_algorithm(algo).peer_class)
+        cls = get_algorithm(algo).peer_class
         peers = [
             cls(sim, net, i, list(range(n)), "flat", initial_holder=0)
             for i in range(n)

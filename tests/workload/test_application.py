@@ -124,3 +124,26 @@ def test_deploy_workload_covers_all_app_nodes():
     sim.run()
     assert collector.cs_count == 9
     assert all(a.done for a in apps)
+
+
+def test_deployed_apps_hold_no_timer_handles():
+    # Every α/β timer is armed handle-free: no EventHandle, no tracking
+    # list per application process at set-up (or later).
+    sim, topo, comp = single_cluster_system(n_apps=3)
+    apps, _ = deploy_workload(comp, alpha_ms=2.0, rho=3.0, n_cs=2)
+    assert all(app._timers == () for app in apps)
+    sim.run()
+    assert all(app.done and app._timers == () for app in apps)
+
+
+def test_event_subscribers_see_app_timer_labels():
+    sim, topo, comp = single_cluster_system(n_apps=1)
+    labels = []
+    sim.trace.subscribe("event", lambda rec: labels.append(rec.label))
+    apps, _ = deploy_workload(comp, alpha_ms=2.0, rho=3.0, n_cs=2)
+    sim.run()
+    assert apps[0].done
+    app_labels = [label for label in labels if label.startswith("app@")]
+    assert app_labels == [
+        "app@1.first", "app@1.cs", "app@1.think", "app@1.cs",
+    ]
