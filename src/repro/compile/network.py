@@ -146,17 +146,14 @@ class CompiledNetwork(Network):
         super().close()
         self._routes.clear()
 
-    def _refresh_flags(self, sim, trace) -> None:
-        """Re-derive the table-route gate for the current tracer version.
-
-        Before the kernel runs the gate stays shut and the version stays
-        stale, so every set-up send re-checks (they are few)."""
+    def _refresh_flags(self, trace) -> None:
+        """Re-derive the table-route gate for the current tracer version."""
         active = trace.active_kinds
-        self._table_ok = sim._running and not (
+        self._table_ok = not (
             self._slow or self._send_taps or "deliver" in active
         )
         self._send_active = "send" in active
-        self._flags_version = trace.version if sim._running else -1
+        self._flags_version = trace.version
 
     def add_send_tap(self, tap) -> None:
         super().add_send_tap(tap)
@@ -228,10 +225,10 @@ class CompiledNetwork(Network):
         """Wrap the handler (see :meth:`Network.wrap_handler`).
 
         Table-route deliveries bypass handlers, so none may be in flight
-        to the address: interpose before the run starts, as the
-        observability layer does (set-up sends take the Message path), or
-        on a network that routes everything through it (crash-enabled
-        ones, as the recovery fence does)."""
+        to the address: interpose outside a run, as the observability
+        layer does (sends outside a run take the Message path), or on a
+        network that routes everything through it (crash-enabled ones,
+        as the recovery fence does)."""
         route = self._routes.get((node, port))
         if route is not None and any(True for _ in self._in_flight(route)):
             raise NetworkError(
@@ -396,9 +393,9 @@ class CompiledNetwork(Network):
         receiver that is not a peer's own ``_on_message``, a kind outside
         the receiver's handler table (the Message path raises the
         ``ProtocolError`` at delivery time), or a kernel that is not
-        running — set-up sends take the Message path, so layers that
-        wrap handlers between set-up and the run (observability) see
-        them.  The stats/emit/latency steps below are the bodies of
+        running — sends made at set-up or between runs take the Message
+        path, so layers that wrap handlers outside a run (observability)
+        see them.  The stats/emit/latency steps below are the bodies of
         ``_record_inline`` / ``_delay_inline`` fused into this frame —
         same counters, same trace records, same RNG consumption.
 
@@ -412,8 +409,8 @@ class CompiledNetwork(Network):
         sim = self.sim
         trace = sim.trace
         if trace.version != self._flags_version:
-            self._refresh_flags(sim, trace)
-        if not self._table_ok:
+            self._refresh_flags(trace)
+        if not self._table_ok or not sim._running:
             self.send(src, dst, port, kind, payload, size)
             return
         # EAFP subscripts: the route cache and the handler tables hit

@@ -257,6 +257,30 @@ def test_set_up_sends_take_the_message_path():
     assert all(c.state.name == "OUT" for c in system.coordinators)
 
 
+def test_sends_between_runs_take_the_message_path():
+    sim = Simulator(seed=0)
+    topo = uniform_topology(1, 4)
+    net = CompiledNetwork(sim, topo, TwoTierLatency(topo, jitter=0.0))
+    flat = FlatMutex(sim, net, topo, algorithm="naimi")
+    first, second = flat.peer_for(2), flat.peer_for(3)
+    sim.schedule(0.0, first.request_cs)
+    sim.run()  # first's request travelled on the table route
+    assert first.in_cs and net._pending_stats
+    target = second.last
+    second.request_cs()  # after run() returned: a Message
+    seen = []
+
+    def wrap(inner):
+        def observed(msg):
+            seen.append((msg.src, msg.kind))
+            inner(msg)
+        return observed
+
+    net.wrap_handler(target, "flat", wrap)
+    sim.run()
+    assert seen == [(second.node, "request")]
+
+
 def test_run_experiment_takes_the_fast_path(monkeypatch):
     built = {}
 
